@@ -118,6 +118,41 @@ def verify_cycle(E: CurveQ, primes: tuple[int, ...]) -> bool:
     return True
 
 
+def _walk(
+    count: _Counter, disc: int, p: int, length: int, floor: int = 0
+) -> tuple[list[int], int | None]:
+    """The aliquot walk p = p_1 -> p_2 -> ... through at most length primes.
+
+    Each p_{i+1} = #E(F_{p_i}) is a prime that is new to the walk and
+    >= floor.  The walk steps only from primes of good reduction, so
+    only its last prime can be bad.  Returns (walk, stop): stop is the
+    image that ended the walk early, or None when the walk reached
+    length primes or a bad prime.  Every search and sweep folds over it.
+    """
+    walk = [p]
+    while len(walk) < length and disc % walk[-1]:
+        q = count(walk[-1])
+        if q < floor or q in walk or not isprime(q):
+            return walk, q
+        walk.append(q)
+    return walk, None
+
+
+def _closed_walks(E: CurveQ, length: int, lo: int, X: int, backend: str):
+    """Walks from good p in [lo, X] that return to p after length primes.
+
+    The floor p prunes each walk at its first image below p, so every
+    closed walk is found once, from its smallest prime.
+    """
+    count = _Counter(E, backend)
+    disc = E.discriminant()
+    for p in primes_in_range(lo, X + 1):
+        if disc % p:
+            walk, stop = _walk(count, disc, p, length + 1, floor=p)
+            if stop == p and len(walk) == length:
+                yield tuple(walk)
+
+
 def aliquot_cycles_up_to(
     E: CurveQ, length: int, X: int, backend: str = "auto"
 ) -> list[AliquotCycle]:
@@ -128,33 +163,11 @@ def aliquot_cycles_up_to(
     """
     if length < 1:
         raise ValueError("length must be >= 1")
-    count = _Counter(E, backend)
-    disc = E.discriminant()
     cycles = []
-    for p in primes_in_range(2, X + 1):
-        if disc % p == 0:
-            continue
-        seq = [p]
-        seen = {p}
-        cur = p
-        closed = False
-        for step in range(length):
-            q = count(cur)
-            if not isprime(q) or disc % q == 0:
-                break
-            if step == length - 1:
-                closed = q == p
-                break
-            if q <= p or q in seen:
-                break
-            seq.append(q)
-            seen.add(q)
-            cur = q
-        if closed:
-            cycle = AliquotCycle(tuple(seq))
-            if not verify_cycle(E, cycle.primes):
-                raise ArithmeticError(f"cycle {seq} failed independent recount")
-            cycles.append(cycle)
+    for primes in _closed_walks(E, length, 2, X, backend):
+        if not verify_cycle(E, primes):
+            raise ArithmeticError(f"cycle {primes} failed independent recount")
+        cycles.append(AliquotCycle(primes))
     return cycles
 
 
@@ -166,16 +179,7 @@ def amicable_pairs_up_to(
     Both primes must be >= 5 and of good reduction; q itself may
     exceed X.
     """
-    count = _Counter(E, backend)
-    disc = E.discriminant()
-    pairs = []
-    for p in primes_in_range(5, X + 1):
-        if disc % p == 0:
-            continue
-        q = count(p)
-        if q > p and isprime(q) and disc % q != 0 and count(q) == p:
-            pairs.append((p, q))
-    return pairs
+    return list(_closed_walks(E, 2, 5, X, backend))
 
 
 def chain_count(E: CurveQ, length: int, X: int, backend: str = "auto") -> int:
@@ -189,27 +193,11 @@ def chain_count(E: CurveQ, length: int, X: int, backend: str = "auto") -> int:
         raise ValueError("length must be >= 1")
     count = _Counter(E, backend)
     disc = E.discriminant()
-    total = 0
-    for p in primes_in_range(2, X + 1):
-        if disc % p == 0:
-            continue
-        seen = {p}
-        cur = p
-        ok = True
-        for step in range(length - 1):
-            q = count(cur)
-            if not isprime(q) or q in seen:
-                ok = False
-                break
-            if step < length - 2:
-                if disc % q == 0:
-                    ok = False
-                    break
-                cur = q
-            seen.add(q)
-        if ok:
-            total += 1
-    return total
+    return sum(
+        len(_walk(count, disc, p, length)[0]) == length
+        for p in primes_in_range(2, X + 1)
+        if disc % p
+    )
 
 
 # ---------------------------------------------------------------------------

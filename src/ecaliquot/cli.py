@@ -32,12 +32,13 @@ from .constructor import build_cycle_curve
 from .curves_mod_p import CurveQ
 from .eisenstein import Unit6, ideals_above
 from .harness import (
+    BACKENDS,
+    FORMATS,
     ExperimentConfig,
     density_rows,
     growth_rows,
     pair_rows,
     render_rows,
-    report_rows,
     run_density_report,
     run_growth_table,
     run_pair_sweep,
@@ -102,7 +103,7 @@ def _sweep_options(fn):
     )(fn)
     fn = click.option(
         "--backend",
-        type=click.Choice(["auto", "naive", "bsgs", "cm"]),
+        type=click.Choice(BACKENDS),
         default="auto",
         show_default=True,
         help="Point counting backend.",
@@ -119,7 +120,7 @@ def _format_option(fn):
     return click.option(
         "--format",
         "out_format",
-        type=click.Choice(["csv", "json"]),
+        type=click.Choice(FORMATS),
         default="csv",
         show_default=True,
         help="Output format for stdout rows.",
@@ -148,7 +149,6 @@ def pairs(curve, k, x_bound, workers, backend, checkpoint, out_format):
         backend=backend,
         workers=workers,
         checkpoint=checkpoint,
-        out_format=out_format,
     )
     report = run_pair_sweep(cfg)
     _emit(pair_rows(report), out_format)
@@ -180,7 +180,7 @@ def pairs(curve, k, x_bound, workers, backend, checkpoint, out_format):
 )
 @click.option(
     "--backend",
-    type=click.Choice(["auto", "naive", "bsgs", "cm"]),
+    type=click.Choice(BACKENDS),
     default="auto",
     show_default=True,
 )
@@ -230,7 +230,6 @@ def chains(curve, k, x_bound, workers, backend, checkpoint, lengths,
         backend=backend,
         workers=workers,
         checkpoint=checkpoint,
-        out_format=out_format,
     )
     report = run_pair_sweep(cfg)
     rows = [

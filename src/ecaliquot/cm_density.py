@@ -112,77 +112,17 @@ def _sextic_exponent_table(r: int) -> bytes:
     return bytes(table)
 
 
-def _residue_scan(k: int):
-    """Yield (e6(lam), e6(1 - lam)) over lam in Z[w]/rad(k), with the
-    per-prime multiplicities of k folded into the exponents; non-units
-    of lam(1 - lam) are skipped.  Also returns the lift multiplier."""
-    fac = factorint(k)
-    tables = [(r, e, _sextic_exponent_table(r)) for r, e in sorted(fac.items())]
-    rad = prod(r for r, _, _ in tables)
-    lift = prod(r ** (2 * (e - 1)) for r, e, _ in tables)
+def _residue_scan(k: int, n: int):
+    """Yield (a, b, e6(lam), e6(1 - lam)) over lam = a + b*w in Z[w]/n.
 
-    def gen():
-        for a in range(rad):
-            for b in range(rad):
-                e6 = 0
-                e6c = 0
-                for r, e, table in tables:
-                    t1 = table[(a % r) * r + b % r]
-                    t2 = table[((1 - a) % r) * r + (-b) % r]
-                    if t1 == NON_UNIT or t2 == NON_UNIT:
-                        break
-                    e6 += e * t1
-                    e6c += e * t2
-                else:
-                    yield a, b, e6 % 6, e6c % 6
-
-    return gen, lift, rad
-
-
-def m_counts(k: int) -> tuple[int, int, int]:
-    """(#O-sharp, #M_k, #M_k^[1]) for any k >= 5 coprime to 6."""
-    case = mk_case(k)
-    gen, lift, _ = _residue_scan(k)
-    n_ok = n_m = n_m1 = 0
-    for _, _, e6, e6c in gen():
-        n_ok += 1
-        if _in_m(case, e6):
-            n_m += 1
-            if (e6 + e6c) % 3 == 0:
-                n_m1 += 1
-    return n_ok * lift, n_m * lift, n_m1 * lift
-
-
-def ok_sharp(k: int) -> set[EisensteinInt]:
-    """Residues lam mod k*Z[w] with lam and 1 - lam both units."""
-    return {
-        lam
-        for lam, _, _ in _m_set_scan(k)
-    }
-
-
-def m_k_set(k: int) -> set[EisensteinInt]:
-    """The residues mod k*Z[w] compatible with membership in N_k."""
-    case = mk_case(k)
-    return {lam for lam, e6, _ in _m_set_scan(k) if _in_m(case, e6)}
-
-
-def m_k1_set(k: int) -> set[EisensteinInt]:
-    """The residues in M_k whose lam(1 - lam) is a cube mod k."""
-    case = mk_case(k)
-    return {
-        lam
-        for lam, e6, e6c in _m_set_scan(k)
-        if _in_m(case, e6) and (e6 + e6c) % 3 == 0
-    }
-
-
-def _m_set_scan(k: int):
-    """Yield (lam, e6(lam), e6(1-lam)) over the full residue ring mod k."""
-    fac = factorint(k)
-    tables = [(r, e, _sextic_exponent_table(r)) for r, e in sorted(fac.items())]
-    for a in range(k):
-        for b in range(k):
+    n is a multiple of rad(k): the symbols depend on lam mod rad(k)
+    only.  The per-prime multiplicities of k are folded into the
+    exponents; lam with lam(1 - lam) not a unit are skipped.
+    """
+    fac = sorted(factorint(k).items())
+    tables = [(r, e, _sextic_exponent_table(r)) for r, e in fac]
+    for a in range(n):
+        for b in range(n):
             e6 = 0
             e6c = 0
             for r, e, table in tables:
@@ -193,7 +133,47 @@ def _m_set_scan(k: int):
                 e6 += e * t1
                 e6c += e * t2
             else:
-                yield EisensteinInt(a, b), e6 % 6, e6c % 6
+                yield a, b, e6 % 6, e6c % 6
+
+
+def m_counts(k: int) -> tuple[int, int, int]:
+    """(#O-sharp, #M_k, #M_k^[1]) for any k >= 5 coprime to 6."""
+    case = mk_case(k)
+    rad = prod(factorint(k))
+    n_ok = n_m = n_m1 = 0
+    for _, _, e6, e6c in _residue_scan(k, rad):
+        n_ok += 1
+        if _in_m(case, e6):
+            n_m += 1
+            if (e6 + e6c) % 3 == 0:
+                n_m1 += 1
+    lift = (k // rad) ** 2  # residues mod k above each residue mod rad(k)
+    return n_ok * lift, n_m * lift, n_m1 * lift
+
+
+def ok_sharp(k: int) -> set[EisensteinInt]:
+    """Residues lam mod k*Z[w] with lam and 1 - lam both units."""
+    return {EisensteinInt(a, b) for a, b, _, _ in _residue_scan(k, k)}
+
+
+def m_k_set(k: int) -> set[EisensteinInt]:
+    """The residues mod k*Z[w] compatible with membership in N_k."""
+    case = mk_case(k)
+    return {
+        EisensteinInt(a, b)
+        for a, b, e6, _ in _residue_scan(k, k)
+        if _in_m(case, e6)
+    }
+
+
+def m_k1_set(k: int) -> set[EisensteinInt]:
+    """The residues in M_k whose lam(1 - lam) is a cube mod k."""
+    case = mk_case(k)
+    return {
+        EisensteinInt(a, b)
+        for a, b, e6, e6c in _residue_scan(k, k)
+        if _in_m(case, e6) and (e6 + e6c) % 3 == 0
+    }
 
 
 def m_counts_formula(k: int) -> dict[str, int]:

@@ -28,6 +28,7 @@ from .arith import sqrt_mod_prime
 from .eisenstein import EisensteinInt, PrimeIdealK, primary_split, sextic_symbol
 
 NAIVE_THRESHOLD = 1024
+MESTRE_BOUND = 229  # above it, BSGS always finds a unique order
 
 
 def _b_invariants(a1: int, a2: int, a3: int, a4: int, a6: int):
@@ -284,6 +285,11 @@ def count_points_naive(E: CurveFp) -> int:
     """O(p) point count; exact for any good reduction, p >= 2."""
     if not E.good:
         raise ValueError("bad reduction")
+    return _character_sum(E)
+
+
+def _character_sum(E: CurveFp) -> int:
+    """The naive count of a good reduction, also used by count_points_bsgs."""
     p = E.p
     if p < 5:
         return _count_tiny(E)
@@ -358,19 +364,19 @@ def _order_candidates(p: int, A: int, B: int, rng: random.Random, H: int) -> set
 
 
 def count_points_bsgs(E: CurveFp) -> int:
-    """Shanks BSGS count for p >= 5 of good reduction.
+    """Shanks BSGS count for any good reduction.
 
     Random points on the curve and its quadratic twist produce order
     constraints whose intersection pins down the group order; for
     p > 229 the combined constraint is always unique in the Hasse
-    interval.  Deterministic for fixed (curve, p): the point generator
-    is seeded from them.
+    interval, so smaller p are counted naively.  Deterministic for
+    fixed (curve, p): the point generator is seeded from them.
     """
     if not E.good:
         raise ValueError("bad reduction")
     p = E.p
-    if p < 5:
-        return _count_tiny(E)
+    if p <= MESTRE_BOUND:
+        return _character_sum(E)
     A, B = E.short_model()
     rng = random.Random(f"bsgs:{A}:{B}:{p}")
     H = isqrt(4 * p)

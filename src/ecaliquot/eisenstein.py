@@ -403,6 +403,13 @@ def ideals_above(r: int) -> tuple[PrimeIdealK, ...]:
     return (PrimeIdealK.above(r),)
 
 
+def _projection(degree: int) -> int:
+    """The power taking a sextic symbol to the symbol of this degree."""
+    if degree not in (2, 3, 6):
+        raise ValueError("degree must be 2, 3 or 6")
+    return 6 // degree
+
+
 def symbol_composite(alpha: "EisensteinInt | int", k: int, degree: int = 6) -> Unit6:
     """Jacobi-style residue symbol (alpha / k*Z[w]) for composite k.
 
@@ -411,8 +418,7 @@ def symbol_composite(alpha: "EisensteinInt | int", k: int, degree: int = 6) -> U
     the multiplicity.  degree selects the sextic (6), cubic (3), or
     quadratic (2) symbol.
     """
-    if degree not in (2, 3, 6):
-        raise ValueError("degree must be 2, 3 or 6")
+    power = _projection(degree)
     k = abs(k)
     if math.gcd(k, 6) != 1:
         raise ValueError("modulus must be coprime to 6")
@@ -420,12 +426,7 @@ def symbol_composite(alpha: "EisensteinInt | int", k: int, degree: int = 6) -> U
     for r, e in factorint(k).items():
         for ideal in ideals_above(r):
             total += sextic_symbol(alpha, ideal).exp * e
-    u = Unit6(total)
-    if degree == 2:
-        return u ** 3
-    if degree == 3:
-        return u ** 2
-    return u
+    return Unit6(total) ** power
 
 
 def eisenstein_factor(
@@ -465,17 +466,13 @@ def symbol_eisenstein(
     alpha: "EisensteinInt | int", lam: EisensteinInt, degree: int = 6
 ) -> Unit6:
     """Residue symbol (alpha / lam*Z[w]) for a general Eisenstein modulus."""
+    power = _projection(degree)
     total = 0
     _, factors = eisenstein_factor(lam)
     for prm, e in factors:
         ideal = PrimeIdealK.from_generator(prm)
         total += sextic_symbol(alpha, ideal).exp * e
-    u = Unit6(total)
-    if degree == 2:
-        return u ** 3
-    if degree == 3:
-        return u ** 2
-    return u
+    return Unit6(total) ** power
 
 
 def cubic_symbol(alpha: "EisensteinInt | int", m: PrimeIdealK) -> Unit6:

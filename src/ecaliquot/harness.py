@@ -24,9 +24,10 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
 
-from sympy import isprime
+# Unused since sweeps step through aliquot._walk; perfbench/spans.py patches it.
+from sympy import isprime  # noqa: F401
 
-from .aliquot import _Counter, classify_type1
+from .aliquot import _Counter, _walk, classify_type1
 from .arith import primes_in_range
 from .cm_density import predict
 from .curves_mod_p import CurveQ
@@ -98,7 +99,7 @@ REFERENCE_PAIRS: tuple[tuple[int, int], ...] = (
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Everything a sweep depends on, plus how to run and emit it.
+    """Everything a sweep depends on, plus how to run it.
 
     Exactly one of `curve` / `k` must identify the curve (`k` is the
     Mordell shorthand y^2 = x^3 + k).  `lengths` requests aliquot chain
@@ -114,7 +115,6 @@ class ExperimentConfig:
     backend: str = "auto"
     workers: int = 1
     checkpoint: str | None = None
-    out_format: str = "csv"
     segment_size: int = 1 << 16
 
     def __post_init__(self) -> None:
@@ -126,8 +126,6 @@ class ExperimentConfig:
             raise ValueError("workers must be >= 1")
         if self.backend not in BACKENDS:
             raise ValueError(f"backend must be one of {BACKENDS}")
-        if self.out_format not in FORMATS:
-            raise ValueError(f"out_format must be one of {FORMATS}")
         if self.segment_size < 16:
             raise ValueError("segment_size must be >= 16")
         object.__setattr__(self, "lengths", tuple(self.lengths))
@@ -201,31 +199,12 @@ class SweepReport:
 # ---------------------------------------------------------------------------
 # segment workers
 
-def _chain_from(counter: _Counter, disc: int, p: int, length: int) -> bool:
-    """Whether p starts an aliquot chain of the given length.
-
-    Every stepped prime needs good reduction; the final prime need only
-    be prime and distinct from the earlier ones.
-    """
-    seen = {p}
-    cur = p
-    for step in range(length - 1):
-        q = counter(cur)
-        if not isprime(q) or q in seen:
-            return False
-        if step < length - 2:
-            if disc % q == 0:
-                return False
-            cur = q
-        seen.add(q)
-    return True
-
-
 def _sweep_segment(task: tuple) -> dict:
     """Tally one prime segment [lo, hi); returns a JSON-ready record."""
     E, lo, hi, k, lengths, backend = task
     counter = _Counter(E, backend)
     disc = E.discriminant()
+    depth = max((*lengths, 2))
     chains = dict.fromkeys((str(L) for L in lengths), 0)
     record = {
         "lo": lo,
@@ -239,11 +218,15 @@ def _sweep_segment(task: tuple) -> dict:
     for p in primes_in_range(lo, hi):
         if disc % p == 0:
             continue
+        walk, stop = _walk(counter, disc, p, depth)
         for L in lengths:
-            if _chain_from(counter, disc, p, L):
+            if len(walk) >= L:
                 chains[str(L)] += 1
-        q = counter(p)
-        if not isprime(q):
+        if len(walk) > 1:
+            q = walk[1]
+        elif stop == p:
+            q = p  # anomalous: #E(F_p) = p ends the walk at once
+        else:
             continue
         record["n_prime"] += 1
         if p < 5:
@@ -288,10 +271,14 @@ def _config_fingerprint(cfg: ExperimentConfig) -> str:
 
 
 def _load_checkpoint(path: Path, fingerprint: str) -> dict[int, dict]:
-    """Completed segment records keyed by lo; {} for a fresh file."""
+    """Completed segment records keyed by lo; {} for a fresh file.
+
+    Only newline-terminated lines count: an unterminated tail is a write
+    torn by an interrupted run, and _CheckpointWriter cuts it off.
+    """
     if not path.exists():
         return {}
-    lines = path.read_text().splitlines()
+    *lines, _ = path.read_text().split("\n")
     if not lines or lines[0] != fingerprint:
         raise ValueError(
             f"checkpoint {path} belongs to a different experiment"
@@ -301,7 +288,7 @@ def _load_checkpoint(path: Path, fingerprint: str) -> dict[int, dict]:
         try:
             record = json.loads(line)
         except json.JSONDecodeError:
-            continue  # torn trailing write from an interrupted run
+            continue  # a torn write that an older writer appended onto
         done[record["lo"]] = record
     return done
 
@@ -314,6 +301,9 @@ class _CheckpointWriter:
         self._fh = path.open("a")
         if fresh:
             self._write_line(fingerprint)
+        else:
+            # Cut off a torn tail so that the next record starts a line.
+            self._fh.truncate(path.read_bytes().rfind(b"\n") + 1)
 
     def _write_line(self, line: str) -> None:
         self._fh.write(line + "\n")

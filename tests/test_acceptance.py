@@ -41,9 +41,12 @@ from ecaliquot.cm_density import (
 )
 from ecaliquot.constructor import build_cycle_curve
 from ecaliquot.curves_mod_p import (
+    CurveFp,
     CurveQ,
     count_points,
+    count_points_bsgs,
     count_points_cm_j0,
+    count_points_naive,
     grossencharacter_j0,
     reduce_curve,
 )
@@ -392,6 +395,19 @@ class TestCharacterInvariants:
                 )
             checked += 1
         assert checked > 0
+
+
+class TestBsgsAtMestreBound:
+    """At p = 233, the first prime above Mestre's bound, BSGS counts every
+    good y^2 = x^3 + ax + b exactly."""
+
+    def test_exhaustive_at_233(self):
+        p = 233
+        for a in range(p):
+            for b in range(p):
+                E = CurveFp.short(p, a, b)
+                if E.good:
+                    assert count_points_bsgs(E) == count_points_naive(E), (a, b)
 
 
 class TestTraceDichotomy:

@@ -122,6 +122,15 @@ class TestBsgs:
             if p > 3000:
                 p = 1009
 
+    @pytest.mark.parametrize("p", [5, 7, 11, 13, 17, 19, 23, 29])
+    def test_exhaustive_at_small_p(self, p):
+        # Below Mestre's bound the order constraints can stay ambiguous.
+        for a in range(p):
+            for b in range(p):
+                E = CurveFp.short(p, a, b)
+                if E.good:
+                    assert count_points_bsgs(E) == count_points_naive(E), (a, b)
+
     def test_agrees_on_reference_curves(self):
         for E in (E1, E2, MORDELL2):
             for p in (1013, 1693, 2003):

@@ -284,6 +284,15 @@ class TestCompositeSymbols:
         s = symbol_composite(alpha, 35, 6)
         assert symbol_composite(alpha, 35, 2) == s ** 3
         assert symbol_composite(alpha, 35, 3) == s ** 2
+        lam = EisensteinInt(6, 1)
+        s = symbol_eisenstein(5, lam)
+        assert symbol_eisenstein(5, lam, degree=2) == s ** 3
+        assert symbol_eisenstein(5, lam, degree=3) == s ** 2
+        for degree in (1, 4):
+            with pytest.raises(ValueError):
+                symbol_composite(alpha, 35, degree)
+            with pytest.raises(ValueError):
+                symbol_eisenstein(5, lam, degree)
 
     def test_rejects_bad_modulus(self):
         with pytest.raises(ValueError):

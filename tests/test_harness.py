@@ -9,7 +9,7 @@ import pytest
 from click.testing import CliRunner
 from sympy import isprime
 
-from ecaliquot.aliquot import amicable_pairs_up_to, chain_count
+from ecaliquot.aliquot import aliquot_cycles_up_to, amicable_pairs_up_to
 from ecaliquot.arith import primes_in_range
 from ecaliquot.cli import main
 from ecaliquot.curves_mod_p import CurveQ, count_points, reduce_curve
@@ -21,6 +21,9 @@ from ecaliquot.harness import (
     GrowthRow,
     PairListCheck,
     SweepReport,
+    _config_fingerprint,
+    _load_checkpoint,
+    _segment_grid,
     density_rows,
     growth_rows,
     pair_rows,
@@ -57,7 +60,6 @@ class TestExperimentConfig:
             {"x_bound": 4},
             {"workers": 0},
             {"backend": "schoof"},
-            {"out_format": "xml"},
             {"segment_size": 8},
             {"lengths": (0,)},
         ],
@@ -156,22 +158,99 @@ class TestSweepDeterminism:
         assert reports[0] == reports[1]
 
 
-class TestSweepAgainstSerialSearch:
-    def test_pairs_match_direct_search(self):
-        report = run_pair_sweep(
-            ExperimentConfig(curve=REFERENCE_CURVE, x_bound=70_000)
-        )
-        assert report.pairs == tuple(
-            amicable_pairs_up_to(REFERENCE_CURVE, 70_000)
-        )
-        assert report.pairs == ((853, 883),)
+def _literal_walks(E: CurveQ, X: int, backend: str) -> dict:
+    """Pairs, chains of lengths 1..4 and cycles of lengths 1..3 from the
+    orbit of every good prime p <= X, iterated by hand."""
+    disc = E.discriminant()
+    memo: dict[int, int] = {}
 
-    def test_chain_counts_match_direct_search(self):
-        report = run_pair_sweep(
-            ExperimentConfig(curve=E1, x_bound=4_000, lengths=(2, 3))
-        )
-        assert report.chain_count(2) == chain_count(E1, 2, 4_000)
-        assert report.chain_count(3) == chain_count(E1, 3, 4_000)
+    def f(n: int) -> int:
+        if n not in memo:
+            memo[n] = count_points(reduce_curve(E, n), backend)
+        return memo[n]
+
+    def steppable(n: int) -> bool:
+        return isprime(n) and disc % n != 0
+
+    chains = dict.fromkeys((1, 2, 3, 4), 0)
+    out = {"n_prime": 0, "n_k": 0, "pairs": [], "chains": chains, "cycles": {}}
+    for p in primes_in_range(2, X + 1):
+        if disc % p == 0:
+            continue
+        orbit = [p]  # p, f(p), f(f(p)), ... while the last term is steppable
+        while len(orbit) < 5 and steppable(orbit[-1]):
+            orbit.append(f(orbit[-1]))
+        if len(orbit) > 1 and isprime(orbit[1]):
+            out["n_prime"] += 1
+            if p >= 5 and (6 * E.a6) % orbit[1] != 0:
+                out["n_k"] += 1
+        for L in (1, 2, 3, 4):
+            chain = orbit[:L]
+            if len(chain) == L and all(map(isprime, chain)) and len(set(chain)) == L:
+                chains[L] += 1
+        for L in (1, 2, 3):
+            cycle = tuple(orbit[:L])
+            if (
+                len(orbit) > L
+                and orbit[L] == p
+                and len(set(cycle)) == L
+                and min(cycle) == p
+            ):
+                out["cycles"].setdefault(L, []).append(cycle)
+                if L == 2 and p >= 5:
+                    out["pairs"].append(cycle)
+    return out
+
+
+# 43a, y^2 = x^3 + 2, y^2 = x^3 - 25x - 8 (whose chains reach length 4),
+# and y^2 = x^3 - 5x - 5 (where #E(F_11) = 7 has bad reduction).
+WALK_CASES = (
+    (REFERENCE_CURVE, "auto"),
+    (CurveQ.mordell(2), "cm"),
+    (CurveQ.short(-25, -8), "auto"),
+    (CurveQ.short(-5, -5), "auto"),
+)
+
+
+class TestSweepAgainstSerialSearch:
+    def test_literal_walk_reference(self):
+        want = _literal_walks(REFERENCE_CURVE, 5_000, "auto")
+        anomalous = [103, 127, 541, 1429, 1657, 2087, 3733]
+        assert want["cycles"][1] == [(p,) for p in anomalous]
+        assert want["pairs"] == [(853, 883)]
+        want = _literal_walks(CurveQ.mordell(2), 5_000, "cm")
+        anomalous = [61, 331, 547, 2437, 3571, 4219]
+        assert want["cycles"][1] == [(p,) for p in anomalous]
+        assert want["pairs"][:2] == [(13, 19), (139, 163)]
+        want = _literal_walks(CurveQ.short(-25, -8), 5_000, "auto")
+        assert want["cycles"][3] == [(73, 83, 79)]
+        assert want["chains"] == {1: 668, 2: 48, 3: 6, 4: 1}
+
+    def test_sweep_matches_literal_walk(self):
+        for E, backend in WALK_CASES:
+            want = _literal_walks(E, 5_000, backend)
+            report = run_pair_sweep(
+                ExperimentConfig(
+                    curve=E,
+                    x_bound=5_000,
+                    lengths=(1, 2, 3, 4),
+                    backend=backend,
+                    segment_size=1 << 10,
+                )
+            )
+            assert report.n_prime == want["n_prime"]
+            assert report.pairs == tuple(want["pairs"])
+            assert dict(report.chains) == want["chains"]
+            if E.is_mordell():
+                assert report.n_k == want["n_k"]
+
+    def test_searches_match_literal_walk(self):
+        for E, backend in WALK_CASES:
+            want = _literal_walks(E, 5_000, backend)
+            for L in (1, 2, 3):
+                cycles = aliquot_cycles_up_to(E, L, 5_000, backend)
+                assert [c.primes for c in cycles] == want["cycles"].get(L, [])
+            assert amicable_pairs_up_to(E, 5_000, backend) == want["pairs"]
 
     def test_prime_image_count_matches_direct_loop(self):
         report = run_pair_sweep(ExperimentConfig(k=2, x_bound=3_000))
@@ -217,6 +296,26 @@ class TestCheckpointing:
             pair_rows(resumed), "csv"
         ) + render_rows(report_rows(resumed), "csv")
         assert resumed_csv == full_csv
+
+    def test_torn_last_record_is_recomputed_once(self, tmp_path):
+        ck = tmp_path / "sweep.ckpt"
+        cfg = ExperimentConfig(
+            curve=REFERENCE_CURVE,
+            x_bound=3_000,
+            lengths=(2,),
+            checkpoint=str(ck),
+            segment_size=1 << 9,
+        )
+        full = run_pair_sweep(cfg)
+        los = [lo for lo, _ in _segment_grid(cfg.x_bound, cfg.segment_size)]
+        text = ck.read_text()
+        start = text.rindex("\n", 0, len(text) - 1) + 1
+        for cut in range(start, len(text)):
+            ck.write_text(text[:cut])
+            assert run_pair_sweep(cfg) == full
+            done = _load_checkpoint(ck, _config_fingerprint(cfg))
+            assert sorted(done) == los, cut
+            assert ck.read_text() == text, cut
 
     def test_resume_does_not_recompute_finished_segments(self, tmp_path):
         ck = tmp_path / "sweep.ckpt"
