@@ -9,7 +9,11 @@ import pytest
 from click.testing import CliRunner
 from sympy import isprime
 
-from ecaliquot.aliquot import aliquot_cycles_up_to, amicable_pairs_up_to
+from ecaliquot.aliquot import (
+    aliquot_cycles_up_to,
+    amicable_pairs_up_to,
+    chain_count,
+)
 from ecaliquot.arith import primes_in_range
 from ecaliquot.cli import main
 from ecaliquot.curves_mod_p import CurveQ, count_points, reduce_curve
@@ -213,6 +217,22 @@ WALK_CASES = (
 
 
 class TestSweepAgainstSerialSearch:
+    def test_pairs_match_direct_search(self):
+        report = run_pair_sweep(
+            ExperimentConfig(curve=REFERENCE_CURVE, x_bound=70_000)
+        )
+        assert report.pairs == tuple(
+            amicable_pairs_up_to(REFERENCE_CURVE, 70_000)
+        )
+        assert report.pairs == ((853, 883),)
+
+    def test_chain_counts_match_direct_search(self):
+        report = run_pair_sweep(
+            ExperimentConfig(curve=E1, x_bound=4_000, lengths=(2, 3))
+        )
+        assert report.chain_count(2) == chain_count(E1, 2, 4_000)
+        assert report.chain_count(3) == chain_count(E1, 3, 4_000)
+
     def test_literal_walk_reference(self):
         want = _literal_walks(REFERENCE_CURVE, 5_000, "auto")
         anomalous = [103, 127, 541, 1429, 1657, 2087, 3733]
