@@ -6,10 +6,18 @@ counting map through L distinct primes and back.  For CM curves the
 possible values of #E(F_q) given #E(F_p) = q collapse to two, and for
 j = 0 the sextic residue symbol decides between them; the helpers at
 the bottom of the module implement those dichotomies exactly.
+
+Every search folds over one walk, which counts only what a cycle
+needs: a prime image.  When the discriminant is a non-residue mod
+p >= 7, E(F_p) has exactly one point of order 2, so #E(F_p) is even
+and composite, and the walk stops there without counting.  Found
+cycles are re-verified by a prime-order certificate that shares no
+code with the counting backends.
 """
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
 
 from sympy import factorint, isprime
@@ -17,10 +25,11 @@ from sympy import factorint, isprime
 from .arith import primes_in_range
 from .curves_mod_p import (
     CurveQ,
-    _count_tiny,
+    _random_point,
     count_points,
     count_points_cm_j0,
     count_points_naive,
+    ec_mul,
     grossencharacter_j0,
     reduce_curve,
 )
@@ -88,34 +97,47 @@ class AliquotCycle:
         return cls(primes[i:] + primes[:i])
 
 
-def _verify_count(E: CurveQ, p: int) -> int:
-    """Point count along an independent route, for double-checking cycles.
+def _verify_step(E: CurveQ, p: int, N: int) -> bool:
+    """Whether #E(F_p) = N, for a good prime p and a prime N.
 
-    Tiny p: brute force on the long form.  Mordell curves: the CM
-    formula.  Otherwise the character sum for moderate p, and BSGS as
-    the last resort.
+    A prime-order certificate, independent of every counting backend:
+    N must lie in the Hasse window, and a seeded affine point P of the
+    short model must satisfy N P = O.  Then ord(P) = N, as N is prime
+    and P != O, and N is the only multiple of N in the window, which is
+    4 sqrt(p) < N wide; conversely #E(F_p) = N forces N P = O.  Only
+    p < 37 can have N <= 4 sqrt(p); those are counted exactly.
     """
+    if (N - p - 1) ** 2 > 4 * p:
+        return False
     Ep = reduce_curve(E, p)
-    if p < 5:
-        return _count_tiny(Ep)
-    if E.is_mordell() and (6 * E.a6) % p != 0:
-        return count_points_cm_j0(E.a6, p)
-    if p <= 2 * 10**6:
-        return count_points_naive(Ep)
-    return count_points(Ep, "bsgs")
+    if p < 5 or N * N <= 16 * p:
+        return count_points_naive(Ep) == N
+    A, B = Ep.short_model()
+    P = _random_point(p, A, B, random.Random(f"verify:{A}:{B}:{p}"))
+    return ec_mul(p, A, N, P) is None
 
 
 def verify_cycle(E: CurveQ, primes: tuple[int, ...]) -> bool:
-    """Re-check a purported aliquot cycle with the independent counters."""
+    """Re-check a purported aliquot cycle with the prime-order certificate."""
     L = len(primes)
     if L == 0 or len(set(primes)) != L:
         return False
-    for i, p in enumerate(primes):
-        if not isprime(p) or not E.has_good_reduction(p):
-            return False
-        if _verify_count(E, p) != primes[(i + 1) % L]:
-            return False
-    return True
+    if not all(isprime(p) and E.has_good_reduction(p) for p in primes):
+        return False
+    return all(
+        _verify_step(E, p, primes[(i + 1) % L]) for i, p in enumerate(primes)
+    )
+
+
+def _even_count(disc: int, r: int) -> bool:
+    """Whether #E(F_r) is known to be even, hence composite, uncounted.
+
+    For a good odd prime r the 2-division polynomial has discriminant
+    16 disc; a non-residue leaves it exactly one root in F_r, so E(F_r)
+    has one point of order 2.  r >= 7 makes #E(F_r) >= r + 1 - 2 sqrt(r)
+    exceed 2 (y^2 = x^3 + 2x has #E(F_5) = 2).
+    """
+    return r >= 7 and pow(disc % r, (r - 1) // 2, r) == r - 1
 
 
 def _walk(
@@ -126,11 +148,15 @@ def _walk(
     Each p_{i+1} = #E(F_{p_i}) is a prime that is new to the walk and
     >= floor.  The walk steps only from primes of good reduction, so
     only its last prime can be bad.  Returns (walk, stop): stop is the
-    image that ended the walk early, or None when the walk reached
-    length primes or a bad prime.  Every search and sweep folds over it.
+    image that ended the walk early, 0 when that image is known to be
+    even without counting it (see _even_count), or None when the walk
+    reached length primes or a bad prime.  Callers only compare stop
+    with p.  Every search and sweep folds over it.
     """
     walk = [p]
     while len(walk) < length and disc % walk[-1]:
+        if _even_count(disc, walk[-1]):
+            return walk, 0
         q = count(walk[-1])
         if q < floor or q in walk or not isprime(q):
             return walk, q

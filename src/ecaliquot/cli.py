@@ -2,9 +2,12 @@
 
 Every subcommand prints machine-readable rows (CSV by default, JSON
 with --format json) on stdout and a short human summary on stderr.
-Exit status 0 means success; 2 means a verification mismatch (a cycle
-that fails recounting, a reference list diff, or a point-count formula
-disagreeing with brute force).
+Exit status 0 means success; 1 means an error (an invalid value, a
+checkpoint of another experiment, a failed computation), reported as
+one `# error: ...` line on stderr with nothing on stdout; 2 means a
+verification mismatch (a cycle that fails recounting, a reference list
+diff, or a point-count formula disagreeing with brute force), or a
+malformed command line, which click reports with a usage message.
 """
 
 from __future__ import annotations
@@ -131,7 +134,18 @@ def _emit(rows: list[dict], out_format: str) -> None:
     click.echo(render_rows(rows, out_format), nl=False)
 
 
-@click.group()
+class _Main(click.Group):
+    """The command group; library errors end a subcommand with status 1."""
+
+    def invoke(self, ctx: click.Context):
+        try:
+            return super().invoke(ctx)
+        except (ValueError, ArithmeticError, RuntimeError) as exc:
+            click.echo(f"# error: {exc}", err=True)
+            ctx.exit(1)
+
+
+@click.group(cls=_Main)
 def main() -> None:
     """Amicable pairs and aliquot cycles of elliptic curves."""
 
@@ -310,7 +324,7 @@ def density(ks, x_bound, workers, backend, checkpoint, out_format):
                 )
             )
         except ValueError as exc:
-            raise click.ClickException(f"k = {k}: {exc}")
+            raise ValueError(f"k = {k}: {exc}") from exc
     _emit(density_rows(rows), out_format)
     for row in rows:
         exp = row.experimental
@@ -339,7 +353,7 @@ def mktable(ks, out_format):
             units, m, m1 = m_counts(k)
             case = mk_case(k)
         except ValueError as exc:
-            raise click.ClickException(f"k = {k}: {exc}")
+            raise ValueError(f"k = {k}: {exc}") from exc
         row = {
             "k": k,
             "case": case,

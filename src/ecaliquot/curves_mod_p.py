@@ -260,7 +260,7 @@ class PointFp:
 # ---------------------------------------------------------------------------
 # Naive counting
 
-@lru_cache(maxsize=64)
+@lru_cache(maxsize=8)  # one table is p bytes
 def _squares_table(p: int) -> bytes:
     table = bytearray(p)
     for x in range(p):

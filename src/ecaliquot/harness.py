@@ -27,7 +27,7 @@ from pathlib import Path
 # Unused since sweeps step through aliquot._walk; perfbench/spans.py patches it.
 from sympy import isprime  # noqa: F401
 
-from .aliquot import _Counter, _walk, classify_type1
+from .aliquot import _Counter, _even_count, _walk, classify_type1
 from .arith import primes_in_range
 from .cm_density import predict
 from .curves_mod_p import CurveQ
@@ -231,7 +231,12 @@ def _sweep_segment(task: tuple) -> dict:
         record["n_prime"] += 1
         if p < 5:
             continue
-        if q > p and disc % q != 0 and counter(q) == p:
+        if (
+            q > p
+            and disc % q != 0
+            and not _even_count(disc, q)
+            and counter(q) == p
+        ):
             record["pairs"].append([p, q])
         if k is not None and (6 * k) % q != 0:
             record["n_k"] += 1
@@ -274,12 +279,15 @@ def _load_checkpoint(path: Path, fingerprint: str) -> dict[int, dict]:
     """Completed segment records keyed by lo; {} for a fresh file.
 
     Only newline-terminated lines count: an unterminated tail is a write
-    torn by an interrupted run, and _CheckpointWriter cuts it off.
+    torn by an interrupted run, and _CheckpointWriter cuts it off.  A
+    file without a whole header line is as fresh as a missing one.
     """
     if not path.exists():
         return {}
     *lines, _ = path.read_text().split("\n")
-    if not lines or lines[0] != fingerprint:
+    if not lines:
+        return {}  # no whole header line: the run died while creating it
+    if lines[0] != fingerprint:
         raise ValueError(
             f"checkpoint {path} belongs to a different experiment"
         )
@@ -297,13 +305,13 @@ class _CheckpointWriter:
     """Appends one fsynced JSON line per finished segment."""
 
     def __init__(self, path: Path, fingerprint: str):
-        fresh = not path.exists()
+        kept = path.read_bytes().rfind(b"\n") + 1 if path.exists() else 0
         self._fh = path.open("a")
-        if fresh:
+        # Cut off a torn tail so that the next line starts a line; with no
+        # whole header line left, the file starts afresh.
+        self._fh.truncate(kept)
+        if not kept:
             self._write_line(fingerprint)
-        else:
-            # Cut off a torn tail so that the next record starts a line.
-            self._fh.truncate(path.read_bytes().rfind(b"\n") + 1)
 
     def _write_line(self, line: str) -> None:
         self._fh.write(line + "\n")

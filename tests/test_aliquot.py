@@ -1,12 +1,18 @@
 """Aliquot walks, cycles, and the CM dichotomy helpers."""
 
+from math import isqrt
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
-from sympy import isprime
+from sympy import factorint, isprime
 
 from ecaliquot.aliquot import (
     AliquotCycle,
+    _Counter,
+    _even_count,
+    _verify_step,
+    _walk,
     aliquot_cycles_up_to,
     amicable_pairs_up_to,
     bad_trace,
@@ -24,13 +30,25 @@ from ecaliquot.aliquot import (
     verify_cycle,
 )
 from ecaliquot.arith import primes_in_range
-from ecaliquot.curves_mod_p import CurveQ, count_points, reduce_curve
+from ecaliquot.curves_mod_p import (
+    CurveQ,
+    count_points,
+    count_points_naive,
+    reduce_curve,
+)
 from ecaliquot.eisenstein import Unit6
 
 E1 = CurveQ(0, 0, 1, -1, 0)
 E2 = CurveQ(0, 1, 1, 0, 0)
 MORDELL2 = CurveQ.mordell(2)
 TRIPLE_CURVE = CurveQ.short(-25, -8)
+E14 = CurveQ(1, 0, 1, 4, -6)  # 14a1: a1 and a3 both nonzero
+
+
+def _hasse_primes(p: int) -> list[int]:
+    """The primes N with (N - p - 1)^2 <= 4p."""
+    top = p + 1 + 2 * isqrt(p) + 1
+    return [N for N in primes_in_range(2, top + 1) if (N - p - 1) ** 2 <= 4 * p]
 
 
 class TestNextValue:
@@ -108,6 +126,70 @@ class TestAliquotCycles:
         assert verify_cycle(TRIPLE_CURVE, (73, 83, 79))
         assert not verify_cycle(TRIPLE_CURVE, (73, 83, 89))
         assert not verify_cycle(TRIPLE_CURVE, (73, 73, 79))
+
+
+class TestParitySkip:
+    def test_nonresidue_discriminant_forces_even_count(self):
+        for E in (E2, E1, TRIPLE_CURVE, MORDELL2, E14):
+            disc = E.discriminant()
+            for p in primes_in_range(3, 3001):
+                if disc % p == 0:
+                    continue
+                nonresidue = pow(disc % p, (p - 1) // 2, p) == p - 1
+                assert _even_count(disc, p) == (nonresidue and p >= 7)
+                if nonresidue:
+                    n = count_points_naive(reduce_curve(E, p))
+                    assert n % 2 == 0, (E, p)
+                    assert p < 7 or n > 2
+
+    def test_guard_keeps_prime_count_two_at_5(self):
+        E = CurveQ.short(2, 0)  # #E(F_5) = 2, and disc is a non-residue mod 5
+        disc = E.discriminant()
+        assert pow(disc % 5, 2, 5) == 4
+        assert count_points_naive(reduce_curve(E, 5)) == 2
+        assert _walk(_Counter(E), disc, 5, 2) == ([5, 2], None)
+        assert chain_count(E, 2, 5) == 1
+
+    def test_walk_stops_uncounted_at_even_image(self):
+        disc = E2.discriminant()
+        p = next(p for p in primes_in_range(7, 1000) if _even_count(disc, p))
+        count = _Counter(E2)
+        assert _walk(count, disc, p, 3) == ([p], 0)
+        assert count.memo == {}
+
+
+class TestPrimeOrderCertificate:
+    def test_accepts_the_43a_pair_near_1e6(self):
+        assert verify_cycle(E2, (1147339, 1148359))
+
+    def test_rejects_every_other_prime_in_the_window(self):
+        p = 1147339
+        others = [N for N in _hasse_primes(p) if N != 1148359]
+        assert len(others) > 250
+        assert not any(verify_cycle(E2, (p, N)) for N in others)
+
+    def test_agrees_with_naive_count(self):
+        for E in (E2, E14):
+            disc = E.discriminant()
+            for p in primes_in_range(2, 3001):
+                if disc % p == 0:
+                    continue
+                n = count_points_naive(reduce_curve(E, p))
+                for N in _hasse_primes(p):
+                    assert _verify_step(E, p, N) == (n == N), (E, p, N)
+
+    def test_rejects_prime_divisors_of_the_count(self):
+        # Points of order N exist for every prime N | #E(F_p): the Hasse
+        # window alone must reject these N.
+        seen = 0
+        for p in primes_in_range(5, 3001):
+            if E2.has_good_reduction(p):
+                n = count_points_naive(reduce_curve(E2, p))
+                for N in factorint(n):
+                    if N != n and N * N > 16 * p:
+                        assert not _verify_step(E2, p, N), (p, N)
+                        seen += 1
+        assert seen == 100
 
 
 class TestChains:

@@ -9,7 +9,9 @@ import pytest
 from click.testing import CliRunner
 from sympy import isprime
 
+from ecaliquot import harness
 from ecaliquot.aliquot import (
+    _even_count,
     aliquot_cycles_up_to,
     amicable_pairs_up_to,
     chain_count,
@@ -272,6 +274,22 @@ class TestSweepAgainstSerialSearch:
                 assert [c.primes for c in cycles] == want["cycles"].get(L, [])
             assert amicable_pairs_up_to(E, 5_000, backend) == want["pairs"]
 
+    def test_sweep_never_counts_an_even_image(self, monkeypatch):
+        counted = []
+
+        class Recording(harness._Counter):
+            def __call__(self, p):
+                counted.append(p)
+                return super().__call__(p)
+
+        monkeypatch.setattr(harness, "_Counter", Recording)
+        report = run_pair_sweep(
+            ExperimentConfig(curve=REFERENCE_CURVE, x_bound=5_000, lengths=(3,))
+        )
+        assert report.pairs == ((853, 883),)
+        disc = REFERENCE_CURVE.discriminant()
+        assert counted and not any(_even_count(disc, r) for r in counted)
+
     def test_prime_image_count_matches_direct_loop(self):
         report = run_pair_sweep(ExperimentConfig(k=2, x_bound=3_000))
         expected = 0
@@ -335,6 +353,30 @@ class TestCheckpointing:
             assert run_pair_sweep(cfg) == full
             done = _load_checkpoint(ck, _config_fingerprint(cfg))
             assert sorted(done) == los, cut
+            assert ck.read_text() == text, cut
+
+    def _fresh_run(self, tmp_path):
+        ck = tmp_path / "fresh.ckpt"
+        return run_pair_sweep(self._config(ck)), ck.read_text()
+
+    def test_empty_checkpoint_is_fresh(self, tmp_path):
+        # What a run that died between creating the file and its header leaves.
+        full, text = self._fresh_run(tmp_path)
+        ck = tmp_path / "sweep.ckpt"
+        ck.write_text("")
+        assert _load_checkpoint(ck, _config_fingerprint(self._config(ck))) == {}
+        assert run_pair_sweep(self._config(ck)) == full
+        assert ck.read_text() == text
+
+    def test_torn_header_is_fresh(self, tmp_path):
+        full, text = self._fresh_run(tmp_path)
+        header = text.split("\n")[0]
+        ck = tmp_path / "sweep.ckpt"
+        for cut in (1, len(header) // 2, len(header)):
+            ck.write_text(header[:cut])
+            fingerprint = _config_fingerprint(self._config(ck))
+            assert _load_checkpoint(ck, fingerprint) == {}
+            assert run_pair_sweep(self._config(ck)) == full
             assert ck.read_text() == text, cut
 
     def test_resume_does_not_recompute_finished_segments(self, tmp_path):
@@ -587,6 +629,7 @@ class TestCli:
     def test_mktable_rejects_bad_k(self):
         result = self.runner.invoke(main, ["mktable", "--k", "6"])
         assert result.exit_code == 1
+        assert result.stderr.startswith("# error: k = 6: ")
 
     def test_c6check_small_bound(self):
         result = self.invoke("c6check", "--norm-bound", "30")
@@ -621,6 +664,19 @@ class TestCli:
         rows = json.loads(result.stdout)
         assert rows[0] == {"step": 0, "value": 5, "in_cycle": False}
         assert any(r["in_cycle"] for r in rows)
+
+    def test_library_error_exits_1_without_traceback(self, tmp_path):
+        ck = tmp_path / "cli.ckpt"
+        args = ["pairs", "--k", "2", "--X", "100", "--checkpoint", str(ck)]
+        assert self.invoke(*args).exit_code == 0
+        args[args.index("100")] = "200"
+        result = self.invoke(*args)
+        assert result.exit_code == 1
+        assert result.stdout == ""
+        assert result.stderr.startswith("# error: checkpoint ")
+        assert "different experiment" in result.stderr
+        assert "Traceback" not in result.stderr
+        assert len(result.stderr.splitlines()) == 1
 
     def test_checkpoint_flag(self, tmp_path):
         ck = tmp_path / "cli.ckpt"
