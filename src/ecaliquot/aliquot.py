@@ -11,8 +11,8 @@ Every search folds over one walk, which counts only what a cycle
 needs: a prime image.  When the discriminant is a non-residue mod
 p >= 7, E(F_p) has exactly one point of order 2, so #E(F_p) is even
 and composite, and the walk stops there without counting.  Found
-cycles are re-verified by a prime-order certificate that shares no
-code with the counting backends.
+cycles and pairs are re-verified by a prime-order certificate that
+shares no code with the counting backends.
 """
 
 from __future__ import annotations
@@ -22,10 +22,10 @@ from dataclasses import dataclass
 
 from sympy import factorint, isprime
 
-from .arith import primes_in_range
+from .arith import primes_in_range, sqrt_mod_prime
 from .curves_mod_p import (
     CurveQ,
-    _random_point,
+    _reduce,
     count_points,
     count_points_cm_j0,
     count_points_naive,
@@ -44,7 +44,11 @@ from .eisenstein import (
 
 
 class _Counter:
-    """Memoized point counter for one curve and backend."""
+    """Memoized point counter for one curve and backend.
+
+    It is called only with primes (from the sieve, or images that have
+    passed isprime), so it reduces and counts without testing them again.
+    """
 
     def __init__(self, E: CurveQ, backend: str = "auto"):
         self.E = E
@@ -54,10 +58,7 @@ class _Counter:
     def __call__(self, p: int) -> int:
         v = self.memo.get(p)
         if v is None:
-            backend = self.backend
-            if backend == "cm" and p < 5:
-                backend = "naive"
-            v = count_points(reduce_curve(self.E, p), backend)
+            v = count_points(_reduce(self.E, p), self.backend)
             self.memo[p] = v
         return v
 
@@ -67,6 +68,8 @@ def next_value(E: CurveQ, p: int, backend: str = "auto") -> int | None:
 
     Returns None when the walk stops (q composite or bad reduction at q).
     """
+    if p < 2 or not isprime(p):
+        raise ValueError(f"{p} is not prime")
     if not E.has_good_reduction(p):
         raise ValueError(f"bad reduction at {p}")
     q = _Counter(E, backend)(p)
@@ -97,6 +100,17 @@ class AliquotCycle:
         return cls(primes[i:] + primes[:i])
 
 
+def _random_point(p: int, A: int, B: int, rng: random.Random):
+    """A point of y^2 = x^3 + Ax + B at an x drawn from rng."""
+    while True:
+        x = rng.randrange(p)
+        f = (x * x * x + A * x + B) % p
+        if f == 0:
+            return x, 0
+        if pow(f, (p - 1) // 2, p) == 1:
+            return x, sqrt_mod_prime(f, p)
+
+
 def _verify_step(E: CurveQ, p: int, N: int) -> bool:
     """Whether #E(F_p) = N, for a good prime p and a prime N.
 
@@ -109,7 +123,7 @@ def _verify_step(E: CurveQ, p: int, N: int) -> bool:
     """
     if (N - p - 1) ** 2 > 4 * p:
         return False
-    Ep = reduce_curve(E, p)
+    Ep = _reduce(E, p)
     if p < 5 or N * N <= 16 * p:
         return count_points_naive(Ep) == N
     A, B = Ep.short_model()
@@ -127,6 +141,13 @@ def verify_cycle(E: CurveQ, primes: tuple[int, ...]) -> bool:
     return all(
         _verify_step(E, p, primes[(i + 1) % L]) for i, p in enumerate(primes)
     )
+
+
+def _verified(E: CurveQ, primes: tuple[int, ...]) -> tuple[int, ...]:
+    """primes, once verify_cycle confirms them; ArithmeticError if not."""
+    if not verify_cycle(E, primes):
+        raise ArithmeticError(f"cycle {primes} failed independent recount")
+    return primes
 
 
 def _even_count(disc: int, r: int) -> bool:
@@ -184,17 +205,15 @@ def aliquot_cycles_up_to(
 ) -> list[AliquotCycle]:
     """All aliquot cycles of exact length whose smallest prime is <= X.
 
-    Every returned cycle has been re-verified by an independent
-    counting backend.
+    Every returned cycle has been re-verified by verify_cycle, which
+    shares no code with the counting backends.
     """
     if length < 1:
         raise ValueError("length must be >= 1")
-    cycles = []
-    for primes in _closed_walks(E, length, 2, X, backend):
-        if not verify_cycle(E, primes):
-            raise ArithmeticError(f"cycle {primes} failed independent recount")
-        cycles.append(AliquotCycle(primes))
-    return cycles
+    return [
+        AliquotCycle(_verified(E, primes))
+        for primes in _closed_walks(E, length, 2, X, backend)
+    ]
 
 
 def amicable_pairs_up_to(
@@ -203,9 +222,9 @@ def amicable_pairs_up_to(
     """All amicable pairs (p, q), p < q, with p <= X, ordered by p.
 
     Both primes must be >= 5 and of good reduction; q itself may
-    exceed X.
+    exceed X.  Every pair is re-verified like a cycle.
     """
-    return list(_closed_walks(E, 2, 5, X, backend))
+    return [_verified(E, pq) for pq in _closed_walks(E, 2, 5, X, backend)]
 
 
 def chain_count(E: CurveQ, length: int, X: int, backend: str = "auto") -> int:

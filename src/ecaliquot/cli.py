@@ -140,6 +140,8 @@ class _Main(click.Group):
     def invoke(self, ctx: click.Context):
         try:
             return super().invoke(ctx)
+        except (click.exceptions.Exit, click.Abort):
+            raise  # --help and Ctrl-C: click's own RuntimeError subclasses
         except (ValueError, ArithmeticError, RuntimeError) as exc:
             click.echo(f"# error: {exc}", err=True)
             ctx.exit(1)

@@ -4,10 +4,15 @@ Three counting backends are provided:
 
 * ``naive``   -- an O(p) character sum, used for small p and as the
   reference oracle;
-* ``bsgs``    -- Shanks baby-step giant-step on random points of the
-  curve and its quadratic twist, intersecting order constraints until
-  the group order is pinned down uniquely (p > 229 guarantees a unique
-  answer inside the Hasse interval);
+* ``bsgs``    -- Shanks baby-step giant-step on points of the curve and
+  its quadratic twist, intersecting order constraints until the group
+  order is pinned down uniquely (p > 229 guarantees a unique answer
+  inside the Hasse interval).  For a point P, m = isqrt(H) + 1 baby
+  steps jP serve a giant stride of S = 2m + 1, since an x-coordinate
+  match stands for +-j; one ladder gives the first giant step, and
+  every group operation is an inlined affine step.  A point whose
+  order the baby steps already reveal (at most 2m + 1) constrains the
+  count to the multiples of that order;
 * the CM formula for y^2 = x^3 + k via the sextic residue symbol,
   exposed as :func:`count_points_cm_j0`.
 
@@ -17,14 +22,12 @@ enforces that.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd, isqrt
 
 from sympy import isprime, nextprime
 
-from .arith import sqrt_mod_prime
 from .eisenstein import EisensteinInt, PrimeIdealK, primary_split, sextic_symbol
 
 NAIVE_THRESHOLD = 1024
@@ -152,6 +155,11 @@ def reduce_curve(E: CurveQ, p: int) -> CurveFp:
     """Reduce E mod p; bad reduction is flagged, not an error."""
     if p < 2 or not isprime(p):
         raise ValueError(f"{p} is not prime")
+    return _reduce(E, p)
+
+
+def _reduce(E: CurveQ, p: int) -> CurveFp:
+    """reduce_curve for a p already known to be prime."""
     return CurveFp(
         p,
         E.a1 % p,
@@ -308,69 +316,117 @@ def _character_sum(E: CurveFp) -> int:
 # ---------------------------------------------------------------------------
 # Baby-step giant-step counting
 
-def _random_point(p: int, A: int, B: int, rng: random.Random):
-    while True:
-        x = rng.randrange(p)
-        f = (x * x * x + A * x + B) % p
-        if f == 0:
-            return x, 0
-        if pow(f, (p - 1) // 2, p) == 1:
-            return x, sqrt_mod_prime(f, p)
+def _multiples(d: int, p: int, H: int) -> set:
+    """The multiples of d in the Hasse window [p+1-H, p+1+H]."""
+    lo = p + 1 - H
+    return set(range(lo + (-lo) % d, p + 2 + H, d))
 
 
-def _order_candidates(p: int, A: int, B: int, rng: random.Random, H: int) -> set:
-    """All N in [p+1-H, p+1+H] annihilating one random point of the curve."""
-    P = _random_point(p, A, B, rng)
-    m = isqrt(2 * H) + 1
+def _mul(p: int, A: int, n: int, table: list):
+    """n P for n >= 1, given table[j] = jP for 1 <= j < len(table).
 
-    # Baby steps: x-coordinate of j*P for j = 1..m-1 (order found early if hit O).
-    baby: dict[int, tuple[int, int]] = {}
-    R = P
-    for j in range(1, m):
-        if R is None:
-            # P has tiny order j; every multiple of j in the window works.
-            lo, hi = p + 1 - H, p + 1 + H
-            start = lo + (-lo) % j
-            return set(range(start, hi + 1, j))
-        baby.setdefault(R[0], (j, R[1]))
-        R = ec_add(p, A, R, P)
+    Fixed-window double-and-add in inlined affine steps, with windows of
+    w bits, 2^w <= len(table).  An intermediate point of order 2, or an
+    addend with the same x, leaves the generic formulas; ec_mul then
+    takes the whole product.
+    """
+    w = len(table).bit_length() - 1
+    mask = (1 << w) - 1
+    k = (n.bit_length() - 1) // w * w
+    x, y = table[n >> k]
+    while k:
+        k -= w
+        for _ in range(w):
+            if y == 0:
+                return ec_mul(p, A, n, table[1])
+            lam = (3 * x * x + A) * pow(2 * y, -1, p) % p
+            x3 = (lam * lam - 2 * x) % p
+            x, y = x3, (lam * (x - x3) - y) % p
+        d = n >> k & mask
+        if d:
+            xd, yd = table[d]
+            if x == xd:
+                return ec_mul(p, A, n, table[1])
+            lam = (y - yd) * pow(x - xd, -1, p) % p
+            x3 = (lam * lam - x - xd) % p
+            x, y = x3, (lam * (xd - x3) - yd) % p
+    return x, y
 
-    Q = ec_mul(p, A, p + 1, P)
-    T = ec_mul(p, A, m, P)
-    Tneg = ec_neg(p, T)
-    c = H // m + 1
 
-    found = set()
+def _order_candidates(p: int, A: int, P, H: int) -> set:
+    """All N in [p+1-H, p+1+H] with N P = O, for an affine point P.
 
-    def record(t: int) -> None:
-        if abs(t) <= H:
-            found.add(p + 1 - t)
-
-    # R_i = Q - i*(mP) for i = -c..c; match against baby table.
-    R = ec_add(p, A, Q, ec_mul(p, A, c, T))
-    for i in range(-c, c + 1):
-        if R is None:
-            record(i * m)
+    Baby steps take jP for j = 1..m, m = isqrt(H) + 1.  The first jP of
+    order 2 gives ord(P) = 2j, and the first jP = +-iP (i < j) gives
+    ord(P) = j -+ i: a smaller order would have stopped an earlier step.
+    Past them ord(P) >= S = 2m + 1, and T = S P = (m+1)P + mP is O
+    exactly when ord(P) = S.  Otherwise +-jP (0 <= j <= m) are 2m + 1
+    distinct points, and every t in [-H, H] is uniquely iS + j, so the
+    giant steps (p+1)P - iT, i = -c..c, meet the baby table exactly at
+    the t with (p+1-t)P = O.  One ladder gives the first, (p+1+cS)P.
+    """
+    x1, y1 = P
+    m = isqrt(H) + 1
+    baby: dict[int, int] = {}  # x(jP) -> j
+    table = [None]  # table[j] = jP
+    x, y = P
+    for j in range(1, m + 1):
+        if y == 0:
+            return _multiples(2 * j, p, H)
+        i = baby.setdefault(x, j)
+        if i != j:
+            return _multiples(j - i if y == table[i][1] else j + i, p, H)
+        table.append((x, y))
+        if j == 1:
+            lam = (3 * x * x + A) * pow(2 * y, -1, p) % p
         else:
-            hit = baby.get(R[0])
-            if hit is not None:
-                j, yj = hit
-                if R[1] == yj:
-                    record(i * m + j)
-                if R[1] == (p - yj) % p:
-                    record(i * m - j)
-        R = ec_add(p, A, R, Tneg)
+            lam = (y - y1) * pow(x - x1, -1, p) % p
+        x3 = (lam * lam - x - x1) % p
+        x, y = x3, (lam * (x1 - x3) - y1) % p
+
+    # (x, y) = (m+1)P; its x equals that of mP only if (2m+1)P = O.
+    S = 2 * m + 1
+    xm, ym = table[m]
+    if x == xm:
+        return _multiples(S, p, H)
+    lam = (ym - y) * pow(xm - x, -1, p) % p
+    xT = (lam * lam - x - xm) % p
+    yT = (ym - lam * (xm - xT)) % p  # -T = (xT, yT)
+
+    c = (H + m) // S  # the least c with cS + m >= H
+    found = set()
+    R = _mul(p, A, p + 1 + c * S, table)
+    for iS in range(-c * S, c * S + 1, S):
+        if R is None:
+            if -H <= iS <= H:
+                found.add(p + 1 - iS)
+            R = xT, yT
+            continue
+        x, y = R
+        j = baby.get(x)
+        if j is not None:
+            t = iS + j if y == table[j][1] else iS - j
+            if -H <= t <= H:
+                found.add(p + 1 - t)
+        if x == xT:
+            R = ec_add(p, A, R, R) if y == yT else None
+        else:
+            lam = (yT - y) * pow(xT - x, -1, p) % p
+            x3 = (lam * lam - x - xT) % p
+            R = x3, (lam * (x - x3) - y) % p
     return found
 
 
 def count_points_bsgs(E: CurveFp) -> int:
     """Shanks BSGS count for any good reduction.
 
-    Random points on the curve and its quadratic twist produce order
-    constraints whose intersection pins down the group order; for
-    p > 229 the combined constraint is always unique in the Hasse
-    interval, so smaller p are counted naively.  Deterministic for
-    fixed (curve, p): the point generator is seeded from them.
+    Each x = 0, 1, ... with f = x^3 + Ax + B != 0 gives the point
+    (xf, f^2) of y^2 = x^3 + Af^2 x + Bf^3, the twist of E by f: E itself
+    when f is a square, else its quadratic twist, whose count is
+    2p + 2 - #E.  No square root is taken.  The order constraints of
+    these points (see _order_candidates) are intersected until one
+    count is left; for p > 229 the constraints from E and its twist
+    always pin it down, so smaller p are counted naively.
     """
     if not E.good:
         raise ValueError("bad reduction")
@@ -378,28 +434,20 @@ def count_points_bsgs(E: CurveFp) -> int:
     if p <= MESTRE_BOUND:
         return _character_sum(E)
     A, B = E.short_model()
-    rng = random.Random(f"bsgs:{A}:{B}:{p}")
     H = isqrt(4 * p)
-
-    cand = _order_candidates(p, A, B, rng, H)
-    tries = 1
-    while len(cand) > 1 and tries < 3:
-        cand &= _order_candidates(p, A, B, rng, H)
+    cand = None
+    tries = 0
+    for x in range(p):
+        f = (x * x * x + A * x + B) % p
+        if not f:
+            continue
+        found = _order_candidates(p, A * f * f % p, (x * f % p, f * f % p), H)
+        if pow(f, (p - 1) // 2, p) != 1:
+            found = {2 * p + 2 - N for N in found}
+        cand = found if cand is None else cand & found
         tries += 1
-
-    if len(cand) > 1:
-        # Constrain through the quadratic twist: N + N' = 2p + 2.
-        d = 2
-        while pow(d, (p - 1) // 2, p) == 1:
-            d += 1
-        At, Bt = A * d * d % p, B * d ** 3 % p
-        while len(cand) > 1 and tries < 40:
-            tw = _order_candidates(p, At, Bt, rng, H)
-            cand &= {2 * p + 2 - N for N in tw}
-            if len(cand) > 1:
-                cand &= _order_candidates(p, A, B, rng, H)
-            tries += 2
-
+        if len(cand) == 1 or tries == 40:
+            break
     if len(cand) != 1:
         raise RuntimeError(f"group order ambiguous mod {p}")
     return cand.pop()
@@ -428,6 +476,11 @@ def count_points_cm_j0(k: int, p: int) -> int:
     """#E(F_p) for E: y^2 = x^3 + k via the CM trace formula (p >= 5)."""
     if p < 5 or not isprime(p):
         raise ValueError(f"{p} must be a prime >= 5")
+    return _count_cm_j0(k, p)
+
+
+def _count_cm_j0(k: int, p: int) -> int:
+    """count_points_cm_j0 for a p already known to be a prime >= 5."""
     if (6 * k) % p == 0:
         raise ValueError(f"bad reduction at {p}")
     if p % 3 == 2:
@@ -439,13 +492,17 @@ def count_points_cm_j0(k: int, p: int) -> int:
 # Dispatch
 
 def count_points(E: CurveFp, backend: str = "auto") -> int:
-    """Count #E(F_p) with the selected backend ("auto" picks by size)."""
+    """Count #E(F_p) with the selected backend ("auto" picks by size).
+
+    E.p is taken to be prime, as reduce_curve checks; no backend tests
+    it again.
+    """
     if not E.good:
         raise ValueError("bad reduction")
     if backend == "cm":
         if (E.a1, E.a2, E.a3, E.a4) != (0, 0, 0, 0):
             raise ValueError("the cm backend applies to y^2 = x^3 + k only")
-        return count_points_cm_j0(E.a6, E.p)
+        return _count_cm_j0(E.a6, E.p)
     if backend == "naive":
         return count_points_naive(E)
     if backend == "bsgs":

@@ -27,7 +27,7 @@ from pathlib import Path
 # Unused since sweeps step through aliquot._walk; perfbench/spans.py patches it.
 from sympy import isprime  # noqa: F401
 
-from .aliquot import _Counter, _even_count, _walk, classify_type1
+from .aliquot import _Counter, _even_count, _verified, _walk, classify_type1
 from .arith import primes_in_range
 from .cm_density import predict
 from .curves_mod_p import CurveQ
@@ -149,7 +149,7 @@ class SweepReport:
 
     n_prime counts good primes p <= X whose point count is prime;
     pairs lists the amicable pairs (p, q) with 5 <= p <= X in
-    increasing order; n_k / n_type1 refine the count for Mordell
+    increasing order, each re-verified by verify_cycle; n_k / n_type1 refine the count for Mordell
     curves to good primes p >= 5 whose prime image q is again good
     (and, of those, the type 1 primes); chains maps each requested
     length L to the number of aliquot chains of length L starting
@@ -237,7 +237,7 @@ def _sweep_segment(task: tuple) -> dict:
             and not _even_count(disc, q)
             and counter(q) == p
         ):
-            record["pairs"].append([p, q])
+            record["pairs"].append(list(_verified(E, (p, q))))
         if k is not None and (6 * k) % q != 0:
             record["n_k"] += 1
             if classify_type1(k, p).is_type1:

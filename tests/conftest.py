@@ -1,0 +1,20 @@
+"""Fixtures shared by the test modules."""
+
+import pytest
+
+from ecaliquot.aliquot import _Counter
+
+
+class _LyingCounter(_Counter):
+    """Claims #E(F_41) = 47 and #E(F_47) = 41: on 43a, y^2 + y = x^3 + x^2,
+    an amicable pair that is not there (the true counts are 37 and 44)."""
+
+    LIES = {41: 47, 47: 41}
+
+    def __call__(self, p):
+        return self.LIES.get(p) or super().__call__(p)
+
+
+@pytest.fixture
+def lying_counter():
+    return _LyingCounter

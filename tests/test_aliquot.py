@@ -7,6 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from sympy import factorint, isprime
 
+from ecaliquot import aliquot
 from ecaliquot.aliquot import (
     AliquotCycle,
     _Counter,
@@ -61,6 +62,10 @@ class TestNextValue:
         with pytest.raises(ValueError):
             next_value(E1, 37)
 
+    def test_composite_raises(self):
+        with pytest.raises(ValueError):
+            next_value(MORDELL2, 9)
+
     def test_none_when_next_has_bad_reduction(self):
         # #E(F_11) = 7 is prime but y^2 = x^3 - 5x - 5 is singular mod 7.
         E = CurveQ.short(-5, -5)
@@ -92,6 +97,20 @@ class TestAmicablePairs:
         for p, q in amicable_pairs_up_to(MORDELL2, 2000, backend="cm"):
             assert next_value(MORDELL2, p, backend="cm") == q
             assert next_value(MORDELL2, q, backend="cm") == p
+
+    def test_lying_counter_is_caught(self, monkeypatch, lying_counter):
+        monkeypatch.setattr(aliquot, "_Counter", lying_counter)
+        with pytest.raises(ArithmeticError, match=r"\(41, 47\)"):
+            amicable_pairs_up_to(E2, 100)
+
+    def test_lying_counter_premises(self, lying_counter):
+        # The walk from 41 reaches 47 and returns: neither count is
+        # skipped as even, and each lie lies in the Hasse window.
+        disc = E2.discriminant()
+        for p, lie in lying_counter.LIES.items():
+            assert not _even_count(disc, p)
+            assert (lie - p - 1) ** 2 <= 4 * p
+            assert count_points(reduce_curve(E2, p)) != lie
 
 
 class TestAliquotCycles:

@@ -1,14 +1,20 @@
 """Point-counting backends checked against each other and hand counts."""
 
 import random
+from math import isqrt
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from sympy import isprime, nextprime, randprime
 
+from ecaliquot.arith import primes_in_range, sqrt_mod_prime
 from ecaliquot.curves_mod_p import (
+    MESTRE_BOUND,
     CurveFp,
     CurveQ,
     PointFp,
+    _order_candidates,
     count_points,
     count_points_bsgs,
     count_points_cm_j0,
@@ -17,7 +23,6 @@ from ecaliquot.curves_mod_p import (
     ec_mul,
     grossencharacter_j0,
     reduce_curve,
-    sqrt_mod_prime,
     torsion_obstruction,
     trace_a_p,
 )
@@ -148,6 +153,58 @@ class TestBsgs:
         Ep = reduce_curve(E2, 999983)
         assert count_points_bsgs(Ep) == count_points_bsgs(Ep)
 
+    @settings(max_examples=80, deadline=None)
+    @given(
+        st.sampled_from(primes_in_range(MESTRE_BOUND + 1, 20_000)),
+        st.integers(0, 19_999),
+        st.integers(0, 19_999),
+    )
+    def test_matches_naive_above_mestre_bound(self, p, a, b):
+        E = CurveFp.short(p, a, b)
+        assume(E.good)
+        assert count_points_bsgs(E) == count_points_naive(E)
+
+
+# Short models: y^2 = x^3 - 25x - 8 (where a point of order 13, between
+# m and 2m + 1, once escaped the baby steps at p = 2113), y^2 = x^3 + 2,
+# y^2 = x^3 - 5x - 5, and 43a through its c-invariants.
+CANDIDATE_CURVES = (
+    CurveQ.short(-25, -8),
+    MORDELL2,
+    CurveQ.short(-5, -5),
+    E2,
+)
+
+
+def _affine_points(p, A, B):
+    roots: dict[int, list[int]] = {}
+    for y in range(p):
+        roots.setdefault(y * y % p, []).append(y)
+    for x in range(p):
+        for y in roots.get((x * x * x + A * x + B) % p, ()):
+            yield x, y
+
+
+class TestOrderCandidates:
+    @pytest.mark.parametrize("p", [233, 239, 241, 251, 2113])
+    def test_every_point_gives_its_annihilators(self, p):
+        # The exact set {N in the Hasse window : N P = O}, with N P
+        # stepped through the window by the generic group law.
+        H = isqrt(4 * p)
+        lo = p + 1 - H
+        for E in CANDIDATE_CURVES:
+            Ep = reduce_curve(E, p)
+            assert Ep.good
+            A, B = Ep.short_model()
+            for P in _affine_points(p, A, B):
+                want = set()
+                R = ec_mul(p, A, lo, P)
+                for N in range(lo, p + 2 + H):
+                    if R is None:
+                        want.add(N)
+                    R = ec_add(p, A, R, P)
+                assert _order_candidates(p, A, P, H) == want, (E, p, P)
+
 
 class TestCmBackend:
     def test_grossencharacter_value_at_13(self):
@@ -262,3 +319,10 @@ class TestReduceCurve:
     def test_rejects_composite(self):
         with pytest.raises(ValueError):
             reduce_curve(E1, 10)
+
+    def test_public_entry_points_reject_9(self):
+        # Internal callers skip the primality test; these must not.
+        with pytest.raises(ValueError):
+            reduce_curve(MORDELL2, 9)
+        with pytest.raises(ValueError):
+            count_points_cm_j0(2, 9)

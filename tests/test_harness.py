@@ -290,6 +290,12 @@ class TestSweepAgainstSerialSearch:
         disc = REFERENCE_CURVE.discriminant()
         assert counted and not any(_even_count(disc, r) for r in counted)
 
+    def test_lying_counter_is_caught(self, monkeypatch, lying_counter):
+        monkeypatch.setattr(harness, "_Counter", lying_counter)
+        cfg = ExperimentConfig(curve=REFERENCE_CURVE, x_bound=100)
+        with pytest.raises(ArithmeticError, match=r"\(41, 47\)"):
+            run_pair_sweep(cfg)
+
     def test_prime_image_count_matches_direct_loop(self):
         report = run_pair_sweep(ExperimentConfig(k=2, x_bound=3_000))
         expected = 0
@@ -677,6 +683,21 @@ class TestCli:
         assert "different experiment" in result.stderr
         assert "Traceback" not in result.stderr
         assert len(result.stderr.splitlines()) == 1
+
+    def test_subcommand_help_exits_0(self):
+        result = self.invoke("pairs", "--help")
+        assert result.exit_code == 0
+        assert result.stdout.startswith("Usage: ")
+        assert result.stderr == ""
+
+    def test_unverified_pair_exits_1(self, monkeypatch, lying_counter):
+        monkeypatch.setattr(harness, "_Counter", lying_counter)
+        result = self.invoke("pairs", "--curve", "[0,1,1,0,0]", "--X", "100")
+        assert result.exit_code == 1
+        assert result.stdout == ""
+        assert result.stderr == (
+            "# error: cycle (41, 47) failed independent recount\n"
+        )
 
     def test_checkpoint_flag(self, tmp_path):
         ck = tmp_path / "cli.ckpt"
