@@ -340,44 +340,31 @@ def c6_count_trace(zeta: Unit6, xi: Unit6, K: PrimeIdealK) -> int:
     return total
 
 
-def class_witness_sextic(K: PrimeIdealK, zeta: Unit6) -> EisensteinInt:
-    """The first residue (in scan order) whose sextic symbol is zeta."""
+def _class_witness(K: PrimeIdealK, target: Unit6, symbol) -> EisensteinInt:
+    """The first nonzero residue mod K (in scan order) with symbol target."""
     if K.kind == "split":
-        for x in range(1, K.residue_norm):
-            cand = EisensteinInt(x, 0)
-            if sextic_symbol(cand, K) == zeta:
-                return cand
+        residues = (EisensteinInt(x, 0) for x in range(1, K.residue_norm))
     else:
         k = K.generator.a
-        for a in range(k):
-            for b in range(k):
-                if (a, b) == (0, 0):
-                    continue
-                cand = EisensteinInt(a, b)
-                if sextic_symbol(cand, K) == zeta:
-                    return cand
-    raise ArithmeticError(f"no residue of class {zeta} mod {K.generator}")
+        residues = (
+            EisensteinInt(a, b) for a in range(k) for b in range(k) if a or b
+        )
+    for cand in residues:
+        if symbol(cand) == target:
+            return cand
+    raise ArithmeticError(f"no residue of class {target} mod {K.generator}")
+
+
+def class_witness_sextic(K: PrimeIdealK, zeta: Unit6) -> EisensteinInt:
+    """The first residue (in scan order) whose sextic symbol is zeta."""
+    return _class_witness(K, zeta, lambda g: sextic_symbol(g, K))
 
 
 def class_witness_cubic(K: PrimeIdealK, xi: Unit6) -> EisensteinInt:
     """The first residue (in scan order) whose cubic symbol is xi."""
     if xi.exp % 2 != 0:
         raise ValueError("xi must be a cube root of unity")
-    if K.kind == "split":
-        for x in range(1, K.residue_norm):
-            cand = EisensteinInt(x, 0)
-            if sextic_symbol(cand, K) ** 2 == xi:
-                return cand
-    else:
-        k = K.generator.a
-        for a in range(k):
-            for b in range(k):
-                if (a, b) == (0, 0):
-                    continue
-                cand = EisensteinInt(a, b)
-                if sextic_symbol(cand, K) ** 2 == xi:
-                    return cand
-    raise ArithmeticError(f"no residue of class {xi} mod {K.generator}")
+    return _class_witness(K, xi, lambda d: sextic_symbol(d, K) ** 2)
 
 
 def c6_count_bruteforce(

@@ -16,6 +16,10 @@ Three counting backends are provided:
 * the CM formula for y^2 = x^3 + k via the sextic residue symbol,
   exposed as :func:`count_points_cm_j0`.
 
+The ``auto`` choice of :func:`count_points` is a property of the curve,
+not of p: the CM formula when the reduction is y^2 = x^3 + k, else
+BSGS (naive up to p = 229 inside it).
+
 All backends agree wherever their domains overlap, and the test suite
 enforces that.
 """
@@ -30,7 +34,6 @@ from sympy import isprime, nextprime
 
 from .eisenstein import EisensteinInt, PrimeIdealK, primary_split, sextic_symbol
 
-NAIVE_THRESHOLD = 1024
 MESTRE_BOUND = 229  # above it, BSGS always finds a unique order
 
 
@@ -191,15 +194,8 @@ def ec_add(p: int, A: int, P, Q):
     return x3, (lam * (x1 - x3) - y1) % p
 
 
-def ec_neg(p: int, P):
-    if P is None:
-        return None
-    return P[0], (-P[1]) % p
-
-
 def ec_mul(p: int, A: int, n: int, P):
-    if n < 0:
-        return ec_mul(p, A, -n, ec_neg(p, P))
+    """n P for n >= 0, by double-and-add over ec_add."""
     R = None
     while n:
         if n & 1:
@@ -207,62 +203,6 @@ def ec_mul(p: int, A: int, n: int, P):
         P = ec_add(p, A, P, P)
         n >>= 1
     return R
-
-
-@dataclass(frozen=True)
-class PointFp:
-    """A point on a short-model curve mod p; x = y = None is infinity.
-
-    Construction and the group operations check the curve equation, so
-    any drift off the curve raises immediately.
-    """
-
-    curve: CurveFp
-    x: int | None
-    y: int | None
-
-    def __post_init__(self) -> None:
-        if (self.x is None) != (self.y is None):
-            raise ValueError("malformed point")
-        if self.x is not None and not self.on_curve():
-            raise ValueError(f"({self.x}, {self.y}) is not on the curve")
-
-    def on_curve(self) -> bool:
-        A, B = self.curve.short_model()
-        p = self.curve.p
-        return (self.y * self.y - self.x ** 3 - A * self.x - B) % p == 0
-
-    @property
-    def is_infinity(self) -> bool:
-        return self.x is None
-
-    def __add__(self, other: "PointFp") -> "PointFp":
-        if self.curve != other.curve:
-            raise ValueError("points on different curves")
-        A, _ = self.curve.short_model()
-        tup = ec_add(
-            self.curve.p,
-            A,
-            None if self.is_infinity else (self.x, self.y),
-            None if other.is_infinity else (other.x, other.y),
-        )
-        if tup is None:
-            return PointFp(self.curve, None, None)
-        return PointFp(self.curve, tup[0], tup[1])
-
-    def __neg__(self) -> "PointFp":
-        if self.is_infinity:
-            return self
-        return PointFp(self.curve, self.x, (-self.y) % self.curve.p)
-
-    def __rmul__(self, n: int) -> "PointFp":
-        A, _ = self.curve.short_model()
-        tup = ec_mul(
-            self.curve.p, A, n, None if self.is_infinity else (self.x, self.y)
-        )
-        if tup is None:
-            return PointFp(self.curve, None, None)
-        return PointFp(self.curve, tup[0], tup[1])
 
 
 # ---------------------------------------------------------------------------
@@ -492,10 +432,12 @@ def _count_cm_j0(k: int, p: int) -> int:
 # Dispatch
 
 def count_points(E: CurveFp, backend: str = "auto") -> int:
-    """Count #E(F_p) with the selected backend ("auto" picks by size).
+    """Count #E(F_p) with the selected backend.
 
-    E.p is taken to be prime, as reduce_curve checks; no backend tests
-    it again.
+    "auto" picks by the curve: the CM formula when the reduction is
+    y^2 = x^3 + k (every good prime is >= 5 there), else BSGS, which
+    counts naively up to MESTRE_BOUND.  E.p is taken to be prime, as
+    reduce_curve checks; no backend tests it again.
     """
     if not E.good:
         raise ValueError("bad reduction")
@@ -508,8 +450,8 @@ def count_points(E: CurveFp, backend: str = "auto") -> int:
     if backend == "bsgs":
         return count_points_bsgs(E)
     if backend == "auto":
-        if E.p < NAIVE_THRESHOLD:
-            return count_points_naive(E)
+        if (E.a1, E.a2, E.a3, E.a4) == (0, 0, 0, 0):
+            return _count_cm_j0(E.a6, E.p)
         return count_points_bsgs(E)
     raise ValueError(f"unknown backend {backend!r}")
 

@@ -174,9 +174,6 @@ class Unit6:
         return f"w^{self.exp}"
 
 
-UNIT_ONE = Unit6(0)
-UNIT_MINUS_ONE = Unit6(3)
-
 
 def norm(x: EisensteinInt) -> int:
     """Norm form a^2 + a*b + b^2 of a + b*w."""

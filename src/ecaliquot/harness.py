@@ -131,6 +131,8 @@ class ExperimentConfig:
         object.__setattr__(self, "lengths", tuple(self.lengths))
         if any(length < 1 for length in self.lengths):
             raise ValueError("chain lengths must be >= 1")
+        if len(set(self.lengths)) != len(self.lengths):
+            raise ValueError("chain lengths must be distinct")
 
     def resolved_curve(self) -> CurveQ:
         if self.curve is not None:

@@ -8,12 +8,12 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from sympy import isprime, nextprime, randprime
 
+from ecaliquot import curves_mod_p
 from ecaliquot.arith import primes_in_range, sqrt_mod_prime
 from ecaliquot.curves_mod_p import (
     MESTRE_BOUND,
     CurveFp,
     CurveQ,
-    PointFp,
     _order_candidates,
     count_points,
     count_points_bsgs,
@@ -252,6 +252,41 @@ class TestCmBackend:
             count_points(reduce_curve(E1, 13), "cm")
 
 
+def _naive_counts(E, lo, hi):
+    return {
+        p: count_points_naive(reduce_curve(E, p))
+        for p in primes_in_range(lo, hi)
+        if E.has_good_reduction(p)
+    }
+
+
+def _refuse(E):
+    raise AssertionError(f"unexpected backend call at p = {E.p}")
+
+
+class TestAutoBackend:
+    """auto picks by the curve: cm on y^2 = x^3 + k, else bsgs."""
+
+    @pytest.mark.parametrize("E", [MORDELL2, E2], ids=["x3+2", "43a"])
+    def test_matches_naive_below_3000(self, E):
+        for p, n in _naive_counts(E, 2, 3000).items():
+            assert count_points(reduce_curve(E, p), "auto") == n
+
+    def test_mordell_curve_never_takes_bsgs(self, monkeypatch):
+        want = _naive_counts(MORDELL2, 2, 3000)
+        monkeypatch.setattr(curves_mod_p, "count_points_bsgs", _refuse)
+        for p, n in want.items():
+            assert count_points(reduce_curve(MORDELL2, p), "auto") == n
+
+    def test_generic_curve_above_mestre_bound_never_counts_naively(
+        self, monkeypatch
+    ):
+        want = _naive_counts(E2, MESTRE_BOUND + 1, 1024)
+        monkeypatch.setattr(curves_mod_p, "count_points_naive", _refuse)
+        for p, n in want.items():
+            assert count_points(reduce_curve(E2, p), "auto") == n
+
+
 class TestPointArithmetic:
     def test_group_law_consistency(self):
         p = 101
@@ -272,34 +307,18 @@ class TestPointArithmetic:
         for pt in pts:
             assert ec_mul(p, A, N, pt) is None
 
-    def test_pointfp_checks_the_curve(self):
-        E = CurveFp.short(101, 2, 3)
-        with pytest.raises(ValueError):
-            PointFp(E, 1, 1)
-        P = PointFp(E, *next(
-            (x, y)
-            for x in range(101)
-            for y in range(101)
-            if (y * y - x ** 3 - 2 * x - 3) % 101 == 0
-        ))
-        O = PointFp(E, None, None)
-        assert (P + O) == P
-        assert (P + (-P)).is_infinity
-        N = count_points_naive(E)
-        assert (N * P).is_infinity
-
     def test_scalar_matches_repeated_addition(self):
-        E = CurveFp.short(101, 2, 3)
+        p = 101
         x = next(
             x
-            for x in range(2, 101)
-            if pow((x ** 3 + 2 * x + 3) % 101, 50, 101) == 1
+            for x in range(2, p)
+            if pow((x ** 3 + 2 * x + 3) % p, 50, p) == 1
         )
-        P = PointFp(E, x, sqrt_mod_prime((x ** 3 + 2 * x + 3) % 101, 101))
-        acc = PointFp(E, None, None)
+        P = (x, sqrt_mod_prime((x ** 3 + 2 * x + 3) % p, p))
+        acc = None
         for n in range(1, 8):
-            acc = acc + P
-            assert acc == n * P
+            acc = ec_add(p, 2, acc, P)
+            assert acc == ec_mul(p, 2, n, P)
 
 
 class TestTorsionObstruction:

@@ -9,7 +9,7 @@ import pytest
 from click.testing import CliRunner
 from sympy import isprime
 
-from ecaliquot import harness
+from ecaliquot import aliquot, harness
 from ecaliquot.aliquot import (
     _even_count,
     aliquot_cycles_up_to,
@@ -68,6 +68,7 @@ class TestExperimentConfig:
             {"backend": "schoof"},
             {"segment_size": 8},
             {"lengths": (0,)},
+            {"lengths": (2, 2)},
         ],
     )
     def test_invalid_fields_rejected(self, kwargs):
@@ -615,6 +616,25 @@ class TestCli:
         )
         assert bad.exit_code == 2
 
+    def test_density_checkpoint_takes_one_k(self, tmp_path):
+        ck = tmp_path / "density.ckpt"
+        result = self.runner.invoke(
+            main,
+            ["density", "--k", "5", "--k", "7", "--X", "1000",
+             "--checkpoint", str(ck)],
+        )
+        assert result.exit_code == 2
+        assert result.stdout == ""
+        assert not ck.exists()
+
+    def test_repeated_chain_lengths_exit_1(self):
+        result = self.runner.invoke(
+            main, ["chains", "--k", "2", "--X", "1000", "--lengths", "2,2"]
+        )
+        assert result.exit_code == 1
+        assert result.stdout == ""
+        assert result.stderr == "# error: chain lengths must be distinct\n"
+
     def test_density_table(self):
         result = self.invoke(
             "density", "--k", "5", "--X", "20000", "--format", "json"
@@ -690,9 +710,16 @@ class TestCli:
         assert result.stdout.startswith("Usage: ")
         assert result.stderr == ""
 
-    def test_unverified_pair_exits_1(self, monkeypatch, lying_counter):
-        monkeypatch.setattr(harness, "_Counter", lying_counter)
-        result = self.invoke("pairs", "--curve", "[0,1,1,0,0]", "--X", "100")
+    @pytest.mark.parametrize(
+        "module, command",
+        [(harness, ["pairs"]), (aliquot, ["cycles", "--lengths", "2"])],
+        ids=["pairs", "cycles"],
+    )
+    def test_unverified_pair_exits_1(
+        self, monkeypatch, lying_counter, module, command
+    ):
+        monkeypatch.setattr(module, "_Counter", lying_counter)
+        result = self.invoke(*command, "--curve", "[0,1,1,0,0]", "--X", "100")
         assert result.exit_code == 1
         assert result.stdout == ""
         assert result.stderr == (
