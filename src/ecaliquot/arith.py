@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from itertools import compress
 from math import isqrt
 
 
@@ -52,11 +53,8 @@ def small_primes(n: int) -> list[int]:
     return [i for i in range(2, n + 1) if sieve[i]]
 
 
-def primes_in_range(lo: int, hi: int) -> list[int]:
-    """All primes p with lo <= p < hi, by a segmented sieve."""
-    if hi <= 2 or hi <= lo:
-        return []
-    lo = max(lo, 2)
+def prime_flags(lo: int, hi: int) -> bytearray:
+    """A segmented sieve: flags[n - lo] is 1 iff n is prime (2 <= lo <= n < hi)."""
     base = small_primes(isqrt(hi - 1))
     width = hi - lo
     sieve = bytearray([1]) * width
@@ -64,4 +62,12 @@ def primes_in_range(lo: int, hi: int) -> list[int]:
         start = max(q * q, (lo + q - 1) // q * q)
         if start < hi:
             sieve[start - lo :: q] = bytearray(len(range(start - lo, width, q)))
-    return [lo + i for i in range(width) if sieve[i] and lo + i >= 2]
+    return sieve
+
+
+def primes_in_range(lo: int, hi: int) -> list[int]:
+    """All primes p with lo <= p < hi, by a segmented sieve."""
+    if hi <= 2 or hi <= lo:
+        return []
+    lo = max(lo, 2)
+    return list(compress(range(lo, hi), prime_flags(lo, hi)))

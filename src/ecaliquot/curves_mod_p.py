@@ -16,6 +16,16 @@ Three counting backends are provided:
 * the CM formula for y^2 = x^3 + k via the sextic residue symbol,
   exposed as :func:`count_points_cm_j0`.
 
+The CM formula has one definition, ``_count_at_primary``: #E(F_p) from
+a primary prime pi = a + b w of norm p, with ``grossencharacter_j0``'s
+psi computed on bare integers.  It has two routes to pi.  One prime at a
+time, :func:`count_points_cm_j0` and ``count_points`` take pi from
+``primary_split`` (Cornacchia).  Over a range, :func:`cm_j0_counts`
+walks the primaries themselves and keeps those whose norm a sieve marks
+prime; the sweep of a segment takes this route on y^2 = x^3 + k under
+the ``cm`` and ``auto`` backends, and the first route only for what the
+range does not hold.
+
 The ``auto`` choice of :func:`count_points` is a property of the curve,
 not of p: the CM formula when the reduction is y^2 = x^3 + k, else
 BSGS (naive up to p = 229 inside it).
@@ -28,6 +38,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import chain
 from math import gcd, isqrt
 
 from sympy import isprime, nextprime
@@ -93,9 +104,6 @@ class CurveQ:
     def b_invariants(self) -> tuple[int, int, int, int]:
         return _b_invariants(self.a1, self.a2, self.a3, self.a4, self.a6)
 
-    def c_invariants(self) -> tuple[int, int]:
-        return _c_invariants(self.a1, self.a2, self.a3, self.a4, self.a6)
-
     def discriminant(self) -> int:
         b2, b4, b6, b8 = self.b_invariants()
         return -b2 * b2 * b8 - 8 * b4 ** 3 - 27 * b6 * b6 + 9 * b2 * b4 * b6
@@ -137,7 +145,8 @@ class CurveFp:
 
     @classmethod
     def short(cls, p: int, a: int, b: int) -> "CurveFp":
-        good = (4 * a * a * a + 27 * b * b) % p != 0
+        # Every short model is singular in characteristic 2.
+        good = p != 2 and (4 * a * a * a + 27 * b * b) % p != 0
         return cls(p, 0, 0, 0, a % p, b % p, good)
 
     def short_model(self) -> tuple[int, int]:
@@ -425,7 +434,58 @@ def _count_cm_j0(k: int, p: int) -> int:
         raise ValueError(f"bad reduction at {p}")
     if p % 3 == 2:
         return p + 1  # supersingular: trace 0
-    return p + 1 - grossencharacter_j0(k, p).trace
+    pi = primary_split(p)
+    return _count_at_primary(k, p, pi.a, pi.b)
+
+
+def _count_at_primary(k: int, p: int, a: int, b: int) -> int:
+    """#E(F_p) on y^2 = x^3 + k from a primary pi = a + b w of norm p.
+
+    This is grossencharacter_j0 on bare integers: w = -a/b (mod pi), the
+    symbol (4k/pi)_6 = w^e where (4k)^((p-1)/6) = w^e (mod p), and
+    psi = -w^(-e) pi.  p must not divide 6k.
+    """
+    w = -a * pow(b, -1, p) % p
+    s = pow(4 * k, (p - 1) // 6, p)
+    t = 1
+    for e in range(6):
+        if t == s:
+            break
+        t = t * w % p
+    else:
+        raise ArithmeticError(f"{a}+{b}*w is not a primary prime over {p}")
+    # tr(w^j pi) for j = 0..5, and tr(psi) = -tr(w^(-e) pi)
+    traces = (2 * a + b, a - b, -a - 2 * b, -2 * a - b, b - a, a + 2 * b)
+    return p + 1 + traces[-e % 6]
+
+
+def cm_j0_counts(k: int, lo: int, flags: bytearray) -> dict[int, int]:
+    """#E(F_p) on y^2 = x^3 + k at every split prime p in [lo, hi) with p
+    not dividing 6k, where flags[n - lo] marks the primes n < hi.
+
+    Each such p is the norm a^2 + ab + b^2 of exactly one primary
+    a + b w with b > 0 (the one primary_split returns), and a = 2,
+    b = 0 (mod 3).  The walk runs over those lattice points by b, and
+    over the trace c = 2a + b, since 4 N = c^2 + 3 b^2; a prime norm is
+    counted at its primary, with no Cornacchia step and no primality test.
+    """
+    hi = lo + len(flags)
+    counts = {}
+    for b in range(3, isqrt((4 * hi - 1) // 3) + 1, 3):
+        t = 3 * b * b
+        low = 4 * lo - t  # c^2 ranges over [low, 4 hi - t)
+        c_min = isqrt(low - 1) + 1 if low > 0 else 0
+        c_max = isqrt(4 * hi - t - 1)
+        # c = 1 (mod 3) and c = b (mod 2): a residue class mod 6, r or -r
+        r = 1 if b & 1 else 4
+        for c in chain(
+            range(c_min + (r - c_min) % 6, c_max + 1, 6),
+            range(-c_min - (-c_min - r) % 6, -c_max - 1, -6),
+        ):
+            n = (c * c + t) >> 2
+            if flags[n - lo] and (6 * k) % n:
+                counts[n] = _count_at_primary(k, n, (c - b) >> 1, b)
+    return counts
 
 
 # ---------------------------------------------------------------------------

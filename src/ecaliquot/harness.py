@@ -15,6 +15,7 @@ printed tables always agree with the integers behind them.
 
 from __future__ import annotations
 
+import fcntl
 import json
 import math
 import os
@@ -22,15 +23,19 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import compress
 from pathlib import Path
 
 # Unused since sweeps step through aliquot._walk; perfbench/spans.py patches it.
 from sympy import isprime  # noqa: F401
 
-from .aliquot import _Counter, _even_count, _verified, _walk, classify_type1
-from .arith import primes_in_range
+from .aliquot import _Counter, _even_count, _verified, _walk
+# Unused since sweeps tally type 1 by the trace route; perfbench/spans.py
+# patches it.
+from .aliquot import classify_type1  # noqa: F401
+from .arith import prime_flags, primes_in_range
 from .cm_density import predict
-from .curves_mod_p import CurveQ
+from .curves_mod_p import CurveQ, cm_j0_counts
 
 BACKENDS = ("auto", "naive", "bsgs", "cm")
 FORMATS = ("csv", "json")
@@ -202,9 +207,30 @@ class SweepReport:
 # segment workers
 
 def _sweep_segment(task: tuple) -> dict:
-    """Tally one prime segment [lo, hi); returns a JSON-ready record."""
+    """Tally one prime segment [lo, hi); returns a JSON-ready record.
+
+    Counts come from a _Counter, one prime at a time, except on
+    y^2 = x^3 + k under the cm or auto backend (the curves count_points
+    sends to the CM formula).  There one sieve of the window
+    [lo - 2 sqrt(lo) - 2, hi + 2 sqrt(hi) + 3), which holds every image
+    q = #E(F_p) of a p in [lo, hi) by the Hasse bound, gives the
+    segment's primes, and cm_j0_counts fills the counter's memo at every
+    split prime of the window from its primary in Z[w].  Inert primes
+    need no count (_walk skips them as even, bar p = 5, which has 6
+    points), and every prime image is split, so only chain steps beyond
+    the window reach the counter's per-prime route.  A prime p of N_k is
+    type 1 iff a_q = q + 1 - #E(F_q) is +-(q + 1 - p): classify_type1's
+    trace route, without its symbol route.
+    """
     E, lo, hi, k, lengths, backend = task
     counter = _Counter(E, backend)
+    if E.is_mordell() and backend in ("cm", "auto"):
+        wlo = max(2, lo - 2 * math.isqrt(lo) - 2)
+        flags = prime_flags(wlo, hi + 2 * math.isqrt(hi) + 3)
+        counter.memo.update(cm_j0_counts(E.a6, wlo, flags))
+        primes = compress(range(lo, hi), flags[lo - wlo : hi - wlo])
+    else:
+        primes = primes_in_range(lo, hi)
     disc = E.discriminant()
     depth = max((*lengths, 2))
     chains = dict.fromkeys((str(L) for L in lengths), 0)
@@ -217,7 +243,7 @@ def _sweep_segment(task: tuple) -> dict:
         "n_type1": 0,
         "chains": chains,
     }
-    for p in primes_in_range(lo, hi):
+    for p in primes:
         if disc % p == 0:
             continue
         walk, stop = _walk(counter, disc, p, depth)
@@ -242,7 +268,7 @@ def _sweep_segment(task: tuple) -> dict:
             record["pairs"].append(list(_verified(E, (p, q))))
         if k is not None and (6 * k) % q != 0:
             record["n_k"] += 1
-            if classify_type1(k, p).is_type1:
+            if q + 1 - counter(q) in (q + 1 - p, p - q - 1):
                 record["n_type1"] += 1
     return record
 
@@ -304,11 +330,23 @@ def _load_checkpoint(path: Path, fingerprint: str) -> dict[int, dict]:
 
 
 class _CheckpointWriter:
-    """Appends one fsynced JSON line per finished segment."""
+    """Appends one fsynced JSON line per finished segment.
+
+    It holds an exclusive flock on the file while it is open, so a second
+    writer on the same checkpoint is refused with ValueError instead of
+    interleaving its records.
+    """
 
     def __init__(self, path: Path, fingerprint: str):
-        kept = path.read_bytes().rfind(b"\n") + 1 if path.exists() else 0
         self._fh = path.open("a")
+        try:
+            fcntl.flock(self._fh, fcntl.LOCK_EX | fcntl.LOCK_NB)
+        except BlockingIOError:
+            self._fh.close()
+            raise ValueError(
+                f"checkpoint {path} is in use by another run"
+            ) from None
+        kept = path.read_bytes().rfind(b"\n") + 1
         # Cut off a torn tail so that the next line starts a line; with no
         # whole header line left, the file starts afresh.
         self._fh.truncate(kept)

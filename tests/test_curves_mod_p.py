@@ -9,12 +9,13 @@ from hypothesis import strategies as st
 from sympy import isprime, nextprime, randprime
 
 from ecaliquot import curves_mod_p
-from ecaliquot.arith import primes_in_range, sqrt_mod_prime
+from ecaliquot.arith import prime_flags, primes_in_range, sqrt_mod_prime
 from ecaliquot.curves_mod_p import (
     MESTRE_BOUND,
     CurveFp,
     CurveQ,
     _order_candidates,
+    cm_j0_counts,
     count_points,
     count_points_bsgs,
     count_points_cm_j0,
@@ -92,6 +93,16 @@ class TestNaiveCounts:
     def test_bad_reduction_rejected(self):
         with pytest.raises(ValueError):
             count_points_naive(reduce_curve(E1, 37))
+
+    def test_short_model_is_bad_in_characteristic_2(self):
+        for a in (0, 1):
+            for b in (0, 1):
+                assert not CurveFp.short(2, a, b).good
+        with pytest.raises(ValueError):
+            count_points_naive(CurveFp.short(2, 0, 1))
+        # Characteristic 3: y^2 = x^3 + ax + b is smooth iff a != 0.
+        assert CurveFp.short(3, 1, 0).good
+        assert not CurveFp.short(3, 0, 1).good
 
     def test_hasse_bound(self):
         for p in (5, 7, 11, 101, 251):
@@ -250,6 +261,44 @@ class TestCmBackend:
         assert trace_a_p(Ep) == -5
         with pytest.raises(ValueError):
             count_points(reduce_curve(E1, 13), "cm")
+
+
+# Segments of uneven widths covering [2, 2*10^5), so that segment edges
+# fall on split primes, inert primes and composites alike.
+def _uneven_segments(top):
+    lo, width = 2, 1
+    while lo < top:
+        hi = min(lo + width, top)
+        yield lo, hi
+        lo, width = hi, width * 3 + 7
+
+
+class TestCmRange:
+    """cm_j0_counts against the one-prime-at-a-time routes."""
+
+    @pytest.mark.parametrize("k", [1, 2, -3, 5, 7, 16])
+    def test_matches_pointwise_counts_below_2e5(self, k):
+        got = {}
+        for lo, hi in _uneven_segments(2 * 10**5):
+            counts = cm_j0_counts(k, lo, prime_flags(lo, hi))
+            assert all(lo <= p < hi for p in counts)
+            got.update(counts)
+        want = {
+            p: count_points_cm_j0(k, p)
+            for p in primes_in_range(5, 2 * 10**5)
+            if p % 3 == 1 and (6 * k) % p
+        }
+        assert got == want
+        for p, n in got.items():  # the symbol route, on EisensteinInt
+            assert n == p + 1 - grossencharacter_j0(k, p).trace, p
+
+    @pytest.mark.parametrize("k", [1, 2, -3, 5, 7, 16])
+    def test_matches_naive_below_3000(self, k):
+        E = CurveQ.mordell(k)
+        want = {
+            p: n for p, n in _naive_counts(E, 5, 3000).items() if p % 3 == 1
+        }
+        assert cm_j0_counts(k, 2, prime_flags(2, 3000)) == want
 
 
 def _naive_counts(E, lo, hi):

@@ -2,6 +2,9 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -9,16 +12,23 @@ import pytest
 from click.testing import CliRunner
 from sympy import isprime
 
-from ecaliquot import aliquot, harness
+import ecaliquot
+from ecaliquot import aliquot, curves_mod_p, harness
 from ecaliquot.aliquot import (
     _even_count,
     aliquot_cycles_up_to,
     amicable_pairs_up_to,
     chain_count,
+    classify_type1,
 )
 from ecaliquot.arith import primes_in_range
 from ecaliquot.cli import main
-from ecaliquot.curves_mod_p import CurveQ, count_points, reduce_curve
+from ecaliquot.curves_mod_p import (
+    CurveQ,
+    count_points,
+    grossencharacter_j0,
+    reduce_curve,
+)
 from ecaliquot.harness import (
     REFERENCE_CURVE,
     REFERENCE_PAIRS,
@@ -163,6 +173,89 @@ class TestSweepDeterminism:
             for size in (1 << 9, 1 << 13)
         ]
         assert reports[0] == reports[1]
+
+    @pytest.mark.parametrize("k", [2, 7])
+    def test_cm_window_edges_do_not_change_results(self, k):
+        reports = [
+            run_pair_sweep(
+                ExperimentConfig(
+                    k=k,
+                    x_bound=20_000,
+                    lengths=(1, 2, 3, 4),
+                    backend="cm",
+                    segment_size=size,
+                )
+            )
+            for size in (16, 1 << 10, ExperimentConfig.segment_size)
+        ]
+        assert reports[0] == reports[1] == reports[2]
+        assert reports[0].pairs and reports[0].n_type1
+
+
+class TestCmSweep:
+    """The sweep of y^2 = x^3 + k counts from the primaries of Z[w]."""
+
+    @pytest.mark.parametrize("k", [2, 5, 7, 11, 13])
+    def test_type1_tally_matches_classify_type1(self, k):
+        X = 10**5
+        n_k = n_type1 = 0
+        for p in primes_in_range(5, X + 1):
+            if p % 3 != 1 or (6 * k) % p == 0:
+                continue  # p = 2 (mod 3) has the even image p + 1
+            q = p + 1 - grossencharacter_j0(k, p).trace
+            if isprime(q) and (6 * k) % q:
+                n_k += 1
+                n_type1 += classify_type1(k, p).is_type1
+        report = run_pair_sweep(ExperimentConfig(k=k, x_bound=X, backend="cm"))
+        assert (report.n_k, report.n_type1) == (n_k, n_type1)
+        assert 0 < n_type1
+
+    def test_window_reaches_the_extreme_images(self, monkeypatch):
+        # p = m^2 + m + 1 has images p +- (2m + 1) on some twists: the
+        # largest and smallest the Hasse bound allows, at the window's edges.
+        segments, above = [], set()
+        for m in range(2, 300):
+            p = m * m + m + 1
+            if not isprime(p):
+                continue
+            for k in range(1, 40):
+                E = CurveQ.mordell(k)
+                if E.has_good_reduction(p):
+                    q = count_points(reduce_curve(E, p), "cm")
+                    extreme = abs(q - p - 1) == 2 * m + 1
+                    if extreme and isprime(q) and E.has_good_reduction(q):
+                        task = (E, p, p + 1, k, (1, 2), "cm")
+                        segments.append((task, harness._sweep_segment(task)))
+                        above.add(q > p)
+        assert above == {True, False} and len(segments) > 100
+        monkeypatch.setattr(curves_mod_p, "primary_split", self.refuse)
+        for task, record in segments:
+            assert record["n_k"] == 1
+            assert harness._sweep_segment(task) == record
+
+    @staticmethod
+    def refuse(p):
+        raise AssertionError(f"per-prime count at {p}")
+
+    @pytest.mark.parametrize("backend", ["cm", "auto"])
+    def test_window_holds_every_image(self, monkeypatch, backend):
+        # With chains of length <= 2, every count the sweep needs is at a
+        # prime of the sieved window, so no prime is split one at a time.
+        def sweep(k, size=ExperimentConfig.segment_size):
+            return run_pair_sweep(
+                ExperimentConfig(
+                    k=k,
+                    x_bound=20_000,
+                    lengths=(1, 2),
+                    backend=backend,
+                    segment_size=size,
+                )
+            )
+
+        want = {k: sweep(k) for k in (2, 7)}
+        monkeypatch.setattr(curves_mod_p, "primary_split", self.refuse)
+        for size in (16, 1 << 10, ExperimentConfig.segment_size):
+            assert {k: sweep(k, size) for k in want} == want
 
 
 def _literal_walks(E: CurveQ, X: int, backend: str) -> dict:
@@ -409,6 +502,46 @@ class TestCheckpointing:
         )
         with pytest.raises(ValueError, match="different experiment"):
             run_pair_sweep(other)
+
+    def test_second_writer_is_refused(self, tmp_path):
+        ck = tmp_path / "sweep.ckpt"
+        args = ["pairs", "--k", "2", "--X", "100", "--checkpoint", str(ck)]
+        runner = CliRunner()
+        assert runner.invoke(main, args).exit_code == 0
+        header = ck.read_text().split("\n")[0]
+        hold = (
+            "import sys; from pathlib import Path; "
+            "from ecaliquot.harness import _CheckpointWriter; "
+            "w = _CheckpointWriter(Path(sys.argv[1]), sys.argv[2]); "
+            "print('locked', flush=True); sys.stdin.read()"
+        )
+        src = str(Path(ecaliquot.__file__).parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, (src, env.get("PYTHONPATH")))
+        )
+        holder = subprocess.Popen(
+            [sys.executable, "-c", hold, str(ck), header],
+            stdin=subprocess.PIPE,
+            stdout=subprocess.PIPE,
+            text=True,
+            env=env,
+        )
+        try:
+            assert holder.stdout.readline() == "locked\n"
+            result = runner.invoke(main, args)
+        finally:
+            holder.stdin.close()
+            holder.wait(timeout=60)
+        assert result.exit_code == 1
+        assert result.stdout == ""
+        assert result.stderr == (
+            f"# error: checkpoint {ck} is in use by another run\n"
+        )
+        # The lock goes with the holder, and the file is intact.
+        again = runner.invoke(main, args)
+        assert again.exit_code == 0
+        assert ck.read_text().split("\n")[0] == header
 
     def test_header_written_for_fresh_file(self, tmp_path):
         ck = tmp_path / "sweep.ckpt"
