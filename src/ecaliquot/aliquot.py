@@ -20,9 +20,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from sympy import factorint, isprime
-
-from .arith import primes_in_range, sqrt_mod_prime
+from .arith import factorint, isprime, primes_in_range, sqrt_mod_prime
 from .curves_mod_p import (
     CurveQ,
     _reduce,

@@ -29,8 +29,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import prod
 
-from sympy import factorint, isprime
-
+from .arith import factorint, isprime
 from .eisenstein import (
     EisensteinInt,
     PrimeIdealK,

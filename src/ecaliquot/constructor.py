@@ -11,13 +11,10 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from math import isqrt, prod
-
-from sympy import isprime, nextprime
-from sympy.ntheory.modular import crt
+from math import isqrt
 
 from .aliquot import AliquotCycle, verify_cycle
-from .arith import sqrt_mod_prime
+from .arith import crt, isprime, nextprime, sqrt_mod_prime
 from .curves_mod_p import (
     CurveFp,
     CurveQ,
@@ -72,11 +69,11 @@ def find_prime_window(length: int, start_hint: int = 5) -> PrimeWindow:
         raise ValueError("length must be >= 1")
     s = max(5, start_hint)
     if not isprime(s):
-        s = int(nextprime(s))
+        s = nextprime(s)
     while True:
         run = [s]
         while len(run) < length:
-            run.append(int(nextprime(run[-1])))
+            run.append(nextprime(run[-1]))
         arranged = _zigzag(run)
         ok = all(
             (p + 1 - arranged[(i + 1) % length]) ** 2 <= 4 * p
@@ -84,7 +81,7 @@ def find_prime_window(length: int, start_hint: int = 5) -> PrimeWindow:
         )
         if ok:
             return PrimeWindow(arranged)
-        s = int(nextprime(s))
+        s = nextprime(s)
 
 
 def curve_with_order(p: int, N: int) -> CurveFp:
@@ -143,10 +140,9 @@ def crt_lift(local_curves: list[CurveFp]) -> CurveQ:
     for E in local_curves:
         if (E.a1, E.a2, E.a3) != (0, 0, 0):
             raise ValueError("local curves must be in short form")
-    a4, _ = crt(moduli, [E.a4 for E in local_curves])
-    a6, _ = crt(moduli, [E.a6 for E in local_curves])
-    M = prod(moduli)
-    return CurveQ.short(int(a4) % M, int(a6) % M)
+    a4 = crt(moduli, [E.a4 for E in local_curves])
+    a6 = crt(moduli, [E.a6 for E in local_curves])
+    return CurveQ.short(a4, a6)
 
 
 def build_cycle_curve(

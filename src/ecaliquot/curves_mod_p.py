@@ -41,8 +41,7 @@ from functools import lru_cache
 from itertools import chain
 from math import gcd, isqrt
 
-from sympy import isprime, nextprime
-
+from .arith import isprime, nextprime
 from .eisenstein import EisensteinInt, PrimeIdealK, primary_split, sextic_symbol
 
 MESTRE_BOUND = 229  # above it, BSGS always finds a unique order
@@ -536,5 +535,5 @@ def torsion_obstruction(E: CurveQ, primes_to_check: int = 20) -> bool:
             seen += 1
             if g == 1:
                 return False
-        p = int(nextprime(p))
+        p = nextprime(p)
     return g > 1

@@ -17,9 +17,7 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-from sympy import factorint, isprime
-
-from .arith import sqrt_mod_prime
+from .arith import factorint, isprime, sqrt_mod_prime
 
 
 @dataclass(frozen=True)

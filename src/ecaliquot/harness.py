@@ -26,13 +26,12 @@ from fractions import Fraction
 from itertools import compress
 from pathlib import Path
 
-# Unused since sweeps step through aliquot._walk; perfbench/spans.py patches it.
-from sympy import isprime  # noqa: F401
-
 from .aliquot import _Counter, _even_count, _verified, _walk
 # Unused since sweeps tally type 1 by the trace route; perfbench/spans.py
 # patches it.
 from .aliquot import classify_type1  # noqa: F401
+# Unused since sweeps step through aliquot._walk; perfbench/spans.py patches it.
+from .arith import isprime  # noqa: F401
 from .arith import prime_flags, primes_in_range
 from .cm_density import predict
 from .curves_mod_p import CurveQ, cm_j0_counts
