@@ -18,7 +18,6 @@ _TRIAL_PRODUCT = prod(_TRIAL_PRIMES)
 # (bound, bases): Miller--Rabin to these bases is exact for n < bound.
 _MR_BASES = (
     (4_759_123_141, (2, 7, 61)),
-    (1 << 64, (2, 325, 9375, 28178, 450775, 9780504, 1795265022)),  # Sinclair
     (318_665_857_834_031_151_167_461, (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)),
 )
 

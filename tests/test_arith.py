@@ -51,13 +51,13 @@ class TestIsprime:
 
     @pytest.mark.parametrize("n", MERSENNE_PRIMES)
     def test_mersenne_primes_either_side_of_the_bounds(self, n):
-        # 2^61 - 1 is below 2^64 (Sinclair bases); 2^89 - 1 and 2^127 - 1
-        # are above 3.18e23 (strong BPSW).
+        # 2^61 - 1 is below 3.18e23 (the 12 prime bases); 2^89 - 1 and
+        # 2^127 - 1 are above it (strong BPSW).
         assert isprime(n)
         for m in (n - 2, n + 2, n * n, n * (n + 2)):
             assert isprime(m) == sympy.isprime(m)
 
-    @pytest.mark.parametrize("bound", [2809, 4759123141, 2**64, 318665857834031151167461])
+    @pytest.mark.parametrize("bound", [2809, 4759123141, 318665857834031151167461])
     def test_primes_either_side_of_each_base_set_bound(self, bound):
         below = sympy.prevprime(bound)
         above = sympy.nextprime(bound)
