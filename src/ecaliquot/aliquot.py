@@ -169,14 +169,17 @@ def _walk(
     only its last prime can be bad.  Returns (walk, stop): stop is the
     image that ended the walk early, 0 when that image is known to be
     even without counting it (see _even_count), or None when the walk
-    reached length primes or a bad prime.  Callers only compare stop
-    with p.  Every search and sweep folds over it.
+    reached length primes or a bad prime.  A memoized count skips the
+    parity test: an even count ends the walk as 0 would, and callers
+    only compare stop with p.  Every search and sweep folds over it.
     """
     walk = [p]
     while len(walk) < length and disc % walk[-1]:
-        if _even_count(disc, walk[-1]):
-            return walk, 0
-        q = count(walk[-1])
+        q = count.memo.get(walk[-1])
+        if q is None:
+            if _even_count(disc, walk[-1]):
+                return walk, 0
+            q = count(walk[-1])
         if q < floor or q in walk or not isprime(q):
             return walk, q
         walk.append(q)

@@ -9,7 +9,9 @@ lambda = psi(1 - psi) mod k*Z[w]; the sets
 are cut out by quadratic/cubic symbol conditions depending on k mod 4
 and on whether every prime factor of k is +-1 mod 9.  The predicted
 Type 1 density is #M_k^[1] / #M_k, computable in closed form for prime
-k and by direct enumeration in general.
+k and in general by convolving the per-ideal class counts over the
+prime ideals above k (m_counts); the residue sets themselves are
+enumerated by ok_sharp, m_k_set and m_k1_set.
 
 The counts #M_K^[1](zeta, xi) over a single prime ideal K are tied to
 the number of points on the genus-4 curve
@@ -70,6 +72,18 @@ def _in_m(case: str, e6: int) -> bool:
     return True  # case d: all of O-sharp
 
 
+def _field_generator(r: int) -> tuple[int, int]:
+    """The first a + b*w (in scan order) generating F_{r^2}^* = Z[w]/r,
+    for an inert prime r."""
+    order = r * r - 1
+    cofactors = [order // q for q in factorint(order)]
+    for a in range(r):
+        for b in range(1, r):
+            if all(_pair_pow((a, b), c, r) != (1, 0) for c in cofactors):
+                return a, b
+    raise ArithmeticError(f"Z[w]/{r} is not a field")
+
+
 @lru_cache(maxsize=128)
 def _sextic_exponent_table(r: int) -> bytes:
     """For each residue a + b*w mod a prime r, the exponent of the
@@ -102,26 +116,31 @@ def _sextic_exponent_table(r: int) -> bytes:
         for e in range(6):
             u = EisensteinInt(0, 1) ** e
             units[(u.a % r, u.b % r)] = e
-        exp = (r * r - 1) // 6
-        for a in range(r):
-            for b in range(r):
-                if a == 0 and b == 0:
-                    continue
-                table[a * r + b] = units[_pair_pow((a, b), exp, r)]
+        # The symbol is a character of the cyclic group F_{r^2}^*, so
+        # walking the powers g^i of a generator g gives every exponent
+        # as i * e(g): one multiplication per residue, no pow.
+        order = r * r - 1
+        a, b = _field_generator(r)
+        step = units[_pair_pow((a, b), order // 6, r)]
+        x, y = 1, 0
+        e6 = 0
+        for _ in range(order):
+            table[x * r + y] = e6
+            x, y = (x * a - y * b) % r, (x * b + y * a + y * b) % r
+            e6 = (e6 + step) % 6
     return bytes(table)
 
 
-def _residue_scan(k: int, n: int):
-    """Yield (a, b, e6(lam), e6(1 - lam)) over lam = a + b*w in Z[w]/n.
+def _residue_scan(k: int):
+    """Yield (a, b, e6(lam), e6(1 - lam)) over lam = a + b*w in Z[w]/k.
 
-    n is a multiple of rad(k): the symbols depend on lam mod rad(k)
-    only.  The per-prime multiplicities of k are folded into the
-    exponents; lam with lam(1 - lam) not a unit are skipped.
+    The per-prime multiplicities of k are folded into the exponents;
+    lam with lam(1 - lam) not a unit are skipped.
     """
     fac = sorted(factorint(k).items())
     tables = [(r, e, _sextic_exponent_table(r)) for r, e in fac]
-    for a in range(n):
-        for b in range(n):
+    for a in range(k):
+        for b in range(k):
             e6 = 0
             e6c = 0
             for r, e, table in tables:
@@ -136,23 +155,38 @@ def _residue_scan(k: int, n: int):
 
 
 def m_counts(k: int) -> tuple[int, int, int]:
-    """(#O-sharp, #M_k, #M_k^[1]) for any k >= 5 coprime to 6."""
+    """(#O-sharp, #M_k, #M_k^[1]) for any k >= 5 coprime to 6.
+
+    By CRT, Z[w]/rad(k) is the product of the residue fields of the
+    prime ideals K above rad(k), and both conditions read only the sums
+    over K of e * (lam/K)_6 and e * (lam(1-lam)/K)_3, with e the
+    multiplicity of K's rational prime in k.  So the per-ideal class
+    counts _m_K1_table(K), scaled by e, are convolved over Z/6 x Z/6:
+    sum N(K) steps to build them instead of rad(k)^2 for a scan.  Each
+    residue mod rad(k) lifts to (k / rad(k))^2 residues mod k.
+    """
     case = mk_case(k)
-    rad = prod(factorint(k))
-    n_ok = n_m = n_m1 = 0
-    for _, _, e6, e6c in _residue_scan(k, rad):
-        n_ok += 1
-        if _in_m(case, e6):
-            n_m += 1
-            if (e6 + e6c) % 3 == 0:
-                n_m1 += 1
-    lift = (k // rad) ** 2  # residues mod k above each residue mod rad(k)
+    fac = factorint(k)
+    dist = {(0, 0): 1}  # residues by the exponents of their two symbols
+    for r, e in fac.items():
+        for K in ideals_above(r):
+            table = _m_K1_table(K)
+            step: dict[tuple[int, int], int] = {}
+            for (s1, c1), n1 in dist.items():
+                for (s2, c2), n2 in table.items():
+                    key = ((s1 + e * s2) % 6, (c1 + e * c2) % 6)
+                    step[key] = step.get(key, 0) + n1 * n2
+            dist = step
+    n_ok = sum(dist.values())
+    n_m = sum(n for (s, _), n in dist.items() if _in_m(case, s))
+    n_m1 = sum(n for (s, c), n in dist.items() if _in_m(case, s) and c == 0)
+    lift = (k // prod(fac)) ** 2
     return n_ok * lift, n_m * lift, n_m1 * lift
 
 
 def ok_sharp(k: int) -> set[EisensteinInt]:
     """Residues lam mod k*Z[w] with lam and 1 - lam both units."""
-    return {EisensteinInt(a, b) for a, b, _, _ in _residue_scan(k, k)}
+    return {EisensteinInt(a, b) for a, b, _, _ in _residue_scan(k)}
 
 
 def m_k_set(k: int) -> set[EisensteinInt]:
@@ -160,7 +194,7 @@ def m_k_set(k: int) -> set[EisensteinInt]:
     case = mk_case(k)
     return {
         EisensteinInt(a, b)
-        for a, b, e6, _ in _residue_scan(k, k)
+        for a, b, e6, _ in _residue_scan(k)
         if _in_m(case, e6)
     }
 
@@ -170,7 +204,7 @@ def m_k1_set(k: int) -> set[EisensteinInt]:
     case = mk_case(k)
     return {
         EisensteinInt(a, b)
-        for a, b, e6, e6c in _residue_scan(k, k)
+        for a, b, e6, e6c in _residue_scan(k)
         if _in_m(case, e6) and (e6 + e6c) % 3 == 0
     }
 
@@ -377,34 +411,39 @@ def c6_count_bruteforce(
     """
     zeta = sextic_symbol(gamma, K)
     xi = sextic_symbol(delta, K) ** 2
-    N = K.residue_norm
     count = 0
     if K.kind == "split":
-        p = N
+        p = K.residue_norm
         g = K.reduce(gamma)
         d_inv = pow(K.reduce(delta), -1, p)
-        cube_exp = (p - 1) // 3
-        for z in range(1, p):
-            u = g * pow(z, 6, p) % p
-            w = u * (1 - u) % p
-            if w and pow(w * d_inv % p, cube_exp, p) == 1:
+        # One pass over F_p^*: z^3 for each z, and which residues are
+        # nonzero cubes (is_cube[0] stays 0, dropping the points x = 0).
+        cubes = [z * z * z % p for z in range(1, p)]
+        is_cube = bytearray(p)
+        for c in cubes:
+            is_cube[c] = 1
+        for c in cubes:
+            u = g * c * c % p  # gamma z^6
+            if is_cube[u * (1 - u) * d_inv % p]:
                 count += 3
     else:
         k = K.generator.a
         g = K.reduce(gamma)
-        d = K.reduce(delta)
-        d_inv = _pair_pow(d, k * k - 2, k)  # d^(N-2) = d^(-1)
-        cube_exp = (k * k - 1) // 3
-        for a in range(k):
-            for b in range(k):
-                if (a, b) == (0, 0):
-                    continue
-                z6 = _pair_pow((a, b), 6, k)
-                gz6 = _pair_mul(g, z6, k)
-                one_minus = ((1 - gz6[0]) % k, (-gz6[1]) % k)
-                w = _pair_mul(gz6, one_minus, k)
-                if w == (0, 0):
-                    continue
-                if _pair_pow(_pair_mul(w, d_inv, k), cube_exp, k) == (1, 0):
-                    count += 3
+        d_inv = _pair_pow(K.reduce(delta), k * k - 2, k)  # d^(N-2) = d^(-1)
+        # The same tables over F_{k^2}, indexed by a * k + b.
+        cubes = [
+            _pair_mul(_pair_mul((a, b), (a, b), k), (a, b), k)
+            for a in range(k)
+            for b in range(k)
+            if a or b
+        ]
+        is_cube = bytearray(k * k)
+        for c in cubes:
+            is_cube[c[0] * k + c[1]] = 1
+        for c in cubes:
+            gz6 = _pair_mul(g, _pair_mul(c, c, k), k)
+            one_minus = ((1 - gz6[0]) % k, (-gz6[1]) % k)
+            w = _pair_mul(_pair_mul(gz6, one_minus, k), d_inv, k)
+            if is_cube[w[0] * k + w[1]]:
+                count += 3
     return count + e_term(zeta, xi)

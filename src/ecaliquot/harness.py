@@ -261,7 +261,7 @@ def _sweep_segment(task: tuple) -> dict:
         if (
             q > p
             and disc % q != 0
-            and not _even_count(disc, q)
+            and (q in counter.memo or not _even_count(disc, q))
             and counter(q) == p
         ):
             record["pairs"].append(list(_verified(E, (p, q))))

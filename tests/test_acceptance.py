@@ -35,7 +35,10 @@ from ecaliquot.cm_density import (
     m1_counts_formula,
     m_counts,
     m_counts_formula,
+    m_k1_set,
+    m_k_set,
     mk_case,
+    ok_sharp,
     predicted_density,
     r_of_k,
 )
@@ -298,16 +301,20 @@ class TestCmPairRatio:
 
 
 class TestResidueTableRows:
-    """Brute-force residue counts reproduce all eight frozen rows."""
+    """The per-ideal convolution of m_counts and the enumerated residue
+    sets reproduce all eight frozen rows."""
 
     @pytest.mark.parametrize("k,n_ok,n_m,n_m1", RESIDUE_ROWS)
     def test_row(self, k, n_ok, n_m, n_m1):
         assert m_counts(k) == (n_ok, n_m, n_m1)
+        assert len(ok_sharp(k)) == n_ok
+        assert len(m_k_set(k)) == n_m
+        assert len(m_k1_set(k)) == n_m1
         assert predicted_density(k) == Fraction(n_m1, n_m)
 
 
 class TestResidueClosedForms:
-    """Case-by-case closed forms equal brute-force set sizes, 5 <= k <= 97."""
+    """Case-by-case closed forms equal the residue counts, 5 <= k <= 97."""
 
     @pytest.mark.parametrize("k", sorted(PRIME_DENSITIES))
     def test_closed_forms(self, k):

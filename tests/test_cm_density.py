@@ -7,6 +7,7 @@ independent ways (trace formula, 18-to-1 orbit count, brute force).
 """
 
 from fractions import Fraction
+from math import prod
 
 import pytest
 
@@ -20,7 +21,11 @@ from ecaliquot.cm_density import (
     m_counts,
     m_counts_formula,
     m_K1_sub,
+    NON_UNIT,
+    _in_m,
     _m_K1_table,
+    _residue_scan,
+    _sextic_exponent_table,
     m_k1_set,
     m_k_set,
     mk_case,
@@ -30,8 +35,11 @@ from ecaliquot.cm_density import (
     r_of_k,
 )
 from ecaliquot.eisenstein import (
+    UNITS,
+    EisensteinInt,
     PrimeIdealK,
     Unit6,
+    _pair_pow,
     cubic_symbol,
     ideals_above,
     sextic_symbol,
@@ -154,6 +162,53 @@ class TestSetEnumeration:
         assert m_counts(49)[1:] == (0, 0)
         with pytest.raises(ValueError):
             predicted_density(25)
+
+
+def _scan_counts(k):
+    """(#O-sharp, #M_k, #M_k^[1]) by enumerating every residue mod k."""
+    case = mk_case(k)
+    n_ok = n_m = n_m1 = 0
+    for _, _, e6, e6c in _residue_scan(k):
+        n_ok += 1
+        if _in_m(case, e6):
+            n_m += 1
+            n_m1 += (e6 + e6c) % 3 == 0
+    return n_ok, n_m, n_m1
+
+
+class TestCountByConvolution:
+    """m_counts convolves per-ideal class counts; the residue scan over
+    Z[w]/k is its oracle."""
+
+    @pytest.mark.parametrize(
+        "k",
+        [k for k in range(5, 150) if k % 2 and k % 3] + [175, 245, 343],
+    )
+    def test_matches_residue_scan(self, k):
+        assert m_counts(k) == _scan_counts(k)
+
+    def test_seven_prime_modulus(self):
+        # #O-sharp is multiplicative: (r - 2)^2 at a split r, where
+        # lam and 1 - lam avoid 0 at both ideals, and r^2 - 2 at an
+        # inert r.  A scan would take rad(k)^2 ~ 10^15 steps.
+        primes = (5, 7, 11, 13, 17, 19, 23)
+        want = prod(
+            (r - 2) ** 2 if r % 3 == 1 else r * r - 2 for r in primes
+        )
+        assert m_counts(prod(primes))[0] == want
+
+    @pytest.mark.parametrize(
+        "r", [r for r in range(5, 300) if r % 3 == 2 and isprime(r)]
+    )
+    def test_inert_table_is_the_euler_power(self, r):
+        units = {(u.a % r, u.b % r): e for e, u in enumerate(UNITS)}
+        table = _sextic_exponent_table(r)
+        assert table[0] == NON_UNIT
+        for a in range(r):
+            for b in range(r):
+                if a or b:
+                    s = _pair_pow((a, b), (r * r - 1) // 6, r)
+                    assert table[a * r + b] == units[s]
 
 
 class TestClosedForms:
@@ -285,6 +340,35 @@ class TestC6Counts:
                 for xe in (0, 2, 4):
                     d = class_witness_cubic(K, Unit6(xe))
                     assert cubic_symbol(d, K) == Unit6(xe)
+
+    @pytest.mark.parametrize("r", [7, 13, 19, 31, 37, 5, 11])
+    def test_bruteforce_equals_literal_double_loop(self, r):
+        # #{(x, z) in F* x F*: delta x^3 = gamma z^6 (1 - gamma z^6)}
+        # + e, with the field's arithmetic done in Z[w] and reduced mod K.
+        for K in ideals_above(r):
+            if K.kind == "split":
+                units = [EisensteinInt(x, 0) for x in range(1, r)]
+            else:
+                units = [
+                    EisensteinInt(a, b)
+                    for a in range(r)
+                    for b in range(r)
+                    if a or b
+                ]
+            for ze in range(6):
+                for xe in (0, 2, 4):
+                    zeta, xi = Unit6(ze), Unit6(xe)
+                    gamma = class_witness_sextic(K, zeta)
+                    delta = class_witness_cubic(K, xi)
+                    lhs = [K.reduce(delta * x ** 3) for x in units]
+                    rhs = [
+                        K.reduce(gamma * z ** 6 * (1 - gamma * z ** 6))
+                        for z in units
+                    ]
+                    points = sum(1 for v in lhs for w in rhs if v == w)
+                    assert c6_count_bruteforce(gamma, delta, K) == (
+                        points + e_term(zeta, xi)
+                    )
 
     def test_xi_must_be_cubic(self):
         K = PrimeIdealK.above(7)

@@ -210,6 +210,24 @@ class TestCmSweep:
         assert (report.n_k, report.n_type1) == (n_k, n_type1)
         assert 0 < n_type1
 
+    def test_parity_test_reaches_only_unmemoized_primes(self, monkeypatch):
+        # The window's counts are memoized at every split prime, so the
+        # walk and the pair check test parity at the inert primes alone:
+        # about half of the primes swept.
+        tested = []
+
+        def recording(disc, r):
+            tested.append(r)
+            return _even_count(disc, r)
+
+        monkeypatch.setattr(aliquot, "_even_count", recording)
+        monkeypatch.setattr(harness, "_even_count", recording)
+        X = 10**5
+        report = run_pair_sweep(ExperimentConfig(k=7, x_bound=X, backend="cm"))
+        inert = [p for p in primes_in_range(3, X + 1) if p % 3 == 2]
+        assert report.n_k and report.pairs
+        assert sorted(tested) == inert
+
     def test_window_reaches_the_extreme_images(self, monkeypatch):
         # p = m^2 + m + 1 has images p +- (2m + 1) on some twists: the
         # largest and smallest the Hasse bound allows, at the window's edges.
