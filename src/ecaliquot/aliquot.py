@@ -8,11 +8,15 @@ j = 0 the sextic residue symbol decides between them; the helpers at
 the bottom of the module implement those dichotomies exactly.
 
 Every search folds over one walk, which counts only what a cycle
-needs: a prime image.  When the discriminant is a non-residue mod
-p >= 7, E(F_p) has exactly one point of order 2, so #E(F_p) is even
-and composite, and the walk stops there without counting.  Found
-cycles and pairs are re-verified by a prime-order certificate that
-shares no code with the counting backends.
+needs: a prime image.  Two tests of the 2-torsion of E(F_p) stop it
+without counting.  When the discriminant is a non-residue mod p >= 7,
+E(F_p) has exactly one point of order 2, so #E(F_p) is even and
+composite.  Otherwise the 2-division cubic has 0 or 3 roots in F_p,
+and x^p mod the cubic tells which; with 3, E(F_p) contains (Z/2)^2,
+so 4 divides #E(F_p).  With none, #E(F_p) is odd, and the count that
+follows searches odd orders only.  Found cycles and pairs are
+re-verified by a prime-order certificate that shares no code with the
+counting backends.
 """
 
 from __future__ import annotations
@@ -22,6 +26,7 @@ from dataclasses import dataclass
 
 from .arith import factorint, isprime, primes_in_range, sqrt_mod_prime
 from .curves_mod_p import (
+    CurveFp,
     CurveQ,
     _reduce,
     count_points,
@@ -52,13 +57,31 @@ class _Counter:
         self.E = E
         self.backend = backend
         self.memo: dict[int, int] = {}
+        # Reductions that full_two_torsion has tested, kept for their count.
+        self._tested: dict[int, CurveFp] = {}
 
     def __call__(self, p: int) -> int:
         v = self.memo.get(p)
         if v is None:
-            v = count_points(_reduce(self.E, p), self.backend)
+            Ep = self._tested.pop(p, None) or _reduce(self.E, p)
+            v = count_points(Ep, self.backend)
             self.memo[p] = v
         return v
+
+    def full_two_torsion(self, p: int) -> bool:
+        """Whether E(F_p) contains all of E[2] = (Z/2)^2, so that 4
+        divides #E(F_p), which is then composite uncounted (p >= 5).
+
+        The test after _even_count: the reduction keeps the root count
+        of its 2-division cubic, and the count of p reuses it.
+        """
+        if p < 5:
+            return False
+        Ep = _reduce(self.E, p)
+        if Ep.two_division_roots == 3:
+            return True
+        self._tested[p] = Ep
+        return False
 
 
 def next_value(E: CurveQ, p: int, backend: str = "auto") -> int | None:
@@ -168,16 +191,20 @@ def _walk(
     >= floor.  The walk steps only from primes of good reduction, so
     only its last prime can be bad.  Returns (walk, stop): stop is the
     image that ended the walk early, 0 when that image is known to be
-    even without counting it (see _even_count), or None when the walk
-    reached length primes or a bad prime.  A memoized count skips the
-    parity test: an even count ends the walk as 0 would, and callers
-    only compare stop with p.  Every search and sweep folds over it.
+    composite without counting it, or None when the walk reached length
+    primes or a bad prime.  Two skips give 0: a non-residue
+    discriminant, whose one point of order 2 makes the count even (see
+    _even_count), and then a 2-division cubic that splits, whose full
+    2-torsion makes it divisible by 4 (see _Counter.full_two_torsion).
+    A memoized count skips both tests: a composite count ends the walk
+    as 0 would, and callers only compare stop with p.  Every search and
+    sweep folds over it.
     """
     walk = [p]
     while len(walk) < length and disc % walk[-1]:
         q = count.memo.get(walk[-1])
         if q is None:
-            if _even_count(disc, walk[-1]):
+            if _even_count(disc, walk[-1]) or count.full_two_torsion(walk[-1]):
                 return walk, 0
             q = count(walk[-1])
         if q < floor or q in walk or not isprime(q):

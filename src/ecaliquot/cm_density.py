@@ -409,27 +409,33 @@ def c6_count_bruteforce(
     gamma z^6 (1 - gamma z^6) / delta); the boundary components
     contribute exactly e((gamma/K)_6, (delta/K)_3).
     """
-    zeta = sextic_symbol(gamma, K)
-    xi = sextic_symbol(delta, K) ** 2
-    count = 0
+    return _c6_counts_bruteforce([(gamma, delta)], K)[0]
+
+
+def _c6_counts_bruteforce(pairs, K: PrimeIdealK) -> list[int]:
+    """c6_count_bruteforce for each witness pair (gamma, delta), from one
+    table of cubes of the residue field of K shared by all of them."""
+    counts = []
     if K.kind == "split":
         p = K.residue_norm
-        g = K.reduce(gamma)
-        d_inv = pow(K.reduce(delta), -1, p)
         # One pass over F_p^*: z^3 for each z, and which residues are
         # nonzero cubes (is_cube[0] stays 0, dropping the points x = 0).
         cubes = [z * z * z % p for z in range(1, p)]
         is_cube = bytearray(p)
         for c in cubes:
             is_cube[c] = 1
-        for c in cubes:
-            u = g * c * c % p  # gamma z^6
-            if is_cube[u * (1 - u) * d_inv % p]:
-                count += 3
+        sixths = [c * c % p for c in cubes]
+        for gamma, delta in pairs:
+            g = K.reduce(gamma)
+            d_inv = pow(K.reduce(delta), -1, p)
+            count = 0
+            for s in sixths:
+                u = g * s % p  # gamma z^6
+                if is_cube[u * (1 - u) * d_inv % p]:
+                    count += 3
+            counts.append(count)
     else:
         k = K.generator.a
-        g = K.reduce(gamma)
-        d_inv = _pair_pow(K.reduce(delta), k * k - 2, k)  # d^(N-2) = d^(-1)
         # The same tables over F_{k^2}, indexed by a * k + b.
         cubes = [
             _pair_mul(_pair_mul((a, b), (a, b), k), (a, b), k)
@@ -440,10 +446,19 @@ def c6_count_bruteforce(
         is_cube = bytearray(k * k)
         for c in cubes:
             is_cube[c[0] * k + c[1]] = 1
-        for c in cubes:
-            gz6 = _pair_mul(g, _pair_mul(c, c, k), k)
-            one_minus = ((1 - gz6[0]) % k, (-gz6[1]) % k)
-            w = _pair_mul(_pair_mul(gz6, one_minus, k), d_inv, k)
-            if is_cube[w[0] * k + w[1]]:
-                count += 3
-    return count + e_term(zeta, xi)
+        sixths = [_pair_mul(c, c, k) for c in cubes]
+        for gamma, delta in pairs:
+            g = K.reduce(gamma)
+            d_inv = _pair_pow(K.reduce(delta), k * k - 2, k)  # d^(N-2) = d^(-1)
+            count = 0
+            for s in sixths:
+                gz6 = _pair_mul(g, s, k)
+                one_minus = ((1 - gz6[0]) % k, (-gz6[1]) % k)
+                w = _pair_mul(_pair_mul(gz6, one_minus, k), d_inv, k)
+                if is_cube[w[0] * k + w[1]]:
+                    count += 3
+            counts.append(count)
+    return [
+        n + e_term(sextic_symbol(gamma, K), sextic_symbol(delta, K) ** 2)
+        for n, (gamma, delta) in zip(counts, pairs)
+    ]

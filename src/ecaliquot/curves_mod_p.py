@@ -7,12 +7,13 @@ Three counting backends are provided:
 * ``bsgs``    -- Shanks baby-step giant-step on points of the curve and
   its quadratic twist, intersecting order constraints until the group
   order is pinned down uniquely (p > 229 guarantees a unique answer
-  inside the Hasse interval).  For a point P, m = isqrt(H) + 1 baby
-  steps jP serve a giant stride of S = 2m + 1, since an x-coordinate
-  match stands for +-j; one ladder gives the first giant step, and
-  every group operation is an inlined affine step.  A point whose
-  order the baby steps already reveal (at most 2m + 1) constrains the
-  count to the multiples of that order;
+  inside the Hasse interval).  The 2-division cubic gives the parity
+  of the count first (Schoof's case l = 2), so only half the window is
+  searched: for a point P, m = isqrt(H/2) + 1 baby steps j(2P) serve a
+  giant stride of S = 2m + 1, since an x-coordinate match stands for
+  +-j; one ladder gives the first giant step, and every group operation
+  is an inlined affine step.  A point whose order the baby steps
+  already reveal constrains the count to the multiples of that order;
 * the CM formula for y^2 = x^3 + k via the sextic residue symbol,
   exposed as :func:`count_points_cm_j0`.
 
@@ -37,7 +38,7 @@ enforces that.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import chain
 from math import gcd, isqrt
 
@@ -161,6 +162,37 @@ class CurveFp:
         c4, c6 = _c_invariants(self.a1, self.a2, self.a3, self.a4, self.a6)
         return (-27 * c4) % self.p, (-54 * c6) % self.p
 
+    @cached_property
+    def two_division_roots(self) -> int:
+        """The roots in F_p of the 2-division cubic x^3 + Ax + B of the
+        short model: 1, 0 or 3, the points of order 2 in E(F_p) (good
+        reduction, p >= 5).
+
+        The cubic has distinct roots, so its discriminant -4A^3 - 27B^2
+        is a non-residue exactly when it has one root.  Otherwise it has
+        0 or 3, and 3 exactly when it divides x^p - x, that is when
+        x^p = x mod the cubic: Schoof's case l = 2.  Computed once per
+        reduction, and kept with it.
+        """
+        p = self.p
+        A, B = self.short_model()
+        if pow(-4 * A * A * A - 27 * B * B, (p - 1) // 2, p) == p - 1:
+            return 1
+        # x^p as c0 + c1 x + c2 x^2, by square-and-multiply from x,
+        # with x^3 = -Ax - B and x^4 = -Ax^2 - Bx.
+        c0, c1, c2 = 0, 1, 0
+        for bit in bin(p)[3:]:
+            t = c1 * c2 % p
+            s = c2 * c2 % p
+            c0, c1, c2 = (
+                (c0 * c0 - 2 * B * t) % p,
+                (2 * c0 * c1 - 2 * A * t - B * s) % p,
+                (c1 * c1 + 2 * c0 * c2 - A * s) % p,
+            )
+            if bit == "1":
+                c0, c1, c2 = -B * c2 % p, (c0 - A * c2) % p, c1
+        return 3 if (c0, c1, c2) == (0, 1, 0) else 0
+
 
 def reduce_curve(E: CurveQ, p: int) -> CurveFp:
     """Reduce E mod p; bad reduction is flagged, not an error."""
@@ -264,10 +296,10 @@ def _character_sum(E: CurveFp) -> int:
 # ---------------------------------------------------------------------------
 # Baby-step giant-step counting
 
-def _multiples(d: int, p: int, H: int) -> set:
-    """The multiples of d in the Hasse window [p+1-H, p+1+H]."""
+def _multiples(d: int, p: int, H: int, parity: int) -> set:
+    """The N = d k with k = parity (mod 2) in the window [p+1-H, p+1+H]."""
     lo = p + 1 - H
-    return set(range(lo + (-lo) % d, p + 2 + H, d))
+    return set(range(lo + (parity * d - lo) % (2 * d), p + 2 + H, 2 * d))
 
 
 def _mul(p: int, A: int, n: int, table: list):
@@ -301,29 +333,43 @@ def _mul(p: int, A: int, n: int, table: list):
     return x, y
 
 
-def _order_candidates(p: int, A: int, P, H: int) -> set:
-    """All N in [p+1-H, p+1+H] with N P = O, for an affine point P.
+def _order_candidates(p: int, A: int, P, H: int, parity: int) -> set:
+    """All N = parity (mod 2) in [p+1-H, p+1+H] with N P = O, for an
+    affine point P on a curve whose count has that parity.
 
-    Baby steps take jP for j = 1..m, m = isqrt(H) + 1.  The first jP of
-    order 2 gives ord(P) = 2j, and the first jP = +-iP (i < j) gives
-    ord(P) = j -+ i: a smaller order would have stopped an earlier step.
-    Past them ord(P) >= S = 2m + 1, and T = S P = (m+1)P + mP is O
-    exactly when ord(P) = S.  Otherwise +-jP (0 <= j <= m) are 2m + 1
-    distinct points, and every t in [-H, H] is uniquely iS + j, so the
-    giant steps (p+1)P - iT, i = -c..c, meet the baby table exactly at
-    the t with (p+1-t)P = O.  One ladder gives the first, (p+1+cS)P.
+    Such N are p + 1 - e - 2s, e = parity, for |s| <= K = (H + 1) // 2,
+    and N P = O exactly when (p + 1 - e) P = s Q, Q = 2P: a search over
+    half the window, in steps of Q.  Baby steps take jQ for j = 1..m,
+    m = isqrt(K) + 1.  The first jQ of order 2 gives ord(Q) = 2j, and
+    the first jQ = +-iQ (i < j) gives ord(Q) = j -+ i: a smaller order
+    would have stopped an earlier step.  Then 2 d P = O for d = ord(Q),
+    and ord(P) = d when e = 1, as ord(P) divides an odd count: the N
+    are the multiples d k with k = e (mod 2).  Past the baby
+    steps ord(Q) >= S = 2m + 1, and T = S Q = (m+1)Q + mQ is O exactly
+    when ord(Q) = S.  Otherwise +-jQ (0 <= j <= m) are 2m + 1 distinct
+    points, and every s in [-K, K] is uniquely iS + j, so the giant
+    steps (p+1-e)P - iT, i = -c..c, meet the baby table exactly at the
+    s with (p+1-e)P = s Q.  One ladder on Q, and for odd N one addition
+    of P, give the first, (p + 1 - e + 2cS)P.
     """
-    x1, y1 = P
-    m = isqrt(H) + 1
-    baby: dict[int, int] = {}  # x(jP) -> j
-    table = [None]  # table[j] = jP
     x, y = P
+    if y == 0:  # ord(P) = 2, so the count and every N searched are even
+        return _multiples(1, p, H, parity)
+    lam = (3 * x * x + A) * pow(2 * y, -1, p) % p
+    x1 = (lam * lam - 2 * x) % p
+    y1 = (lam * (x - x1) - y) % p  # Q = (x1, y1)
+    K = (H + 1) // 2
+    m = isqrt(K) + 1
+    baby: dict[int, int] = {}  # x(jQ) -> j
+    table = [None]  # table[j] = jQ
+    x, y = x1, y1
     for j in range(1, m + 1):
         if y == 0:
-            return _multiples(2 * j, p, H)
+            return _multiples(2 * j, p, H, parity)
         i = baby.setdefault(x, j)
         if i != j:
-            return _multiples(j - i if y == table[i][1] else j + i, p, H)
+            d = j - i if y == table[i][1] else j + i  # ord(Q)
+            return _multiples(d, p, H, parity)
         table.append((x, y))
         if j == 1:
             lam = (3 * x * x + A) * pow(2 * y, -1, p) % p
@@ -332,28 +378,30 @@ def _order_candidates(p: int, A: int, P, H: int) -> set:
         x3 = (lam * lam - x - x1) % p
         x, y = x3, (lam * (x1 - x3) - y1) % p
 
-    # (x, y) = (m+1)P; its x equals that of mP only if (2m+1)P = O.
+    # (x, y) = (m+1)Q; its x equals that of mQ only if (2m+1)Q = O.
     S = 2 * m + 1
     xm, ym = table[m]
     if x == xm:
-        return _multiples(S, p, H)
+        return _multiples(S, p, H, parity)
     lam = (ym - y) * pow(xm - x, -1, p) % p
     xT = (lam * lam - x - xm) % p
     yT = (ym - lam * (xm - xT)) % p  # -T = (xT, yT)
 
-    c = (H + m) // S  # the least c with cS + m >= H
+    c = (K + m) // S  # the least c with cS + m >= K
     found = set()
-    R = _mul(p, A, p + 1 + c * S, table)
+    R = _mul(p, A, (p + 1) // 2 - parity + c * S, table)
+    if parity:
+        R = ec_add(p, A, R, P)
     for iS in range(-c * S, c * S + 1, S):
         if R is None:
-            if -H <= iS <= H:
-                found.add(p + 1 - iS)
+            if -H <= parity + 2 * iS <= H:
+                found.add(p + 1 - parity - 2 * iS)
             R = xT, yT
             continue
         x, y = R
         j = baby.get(x)
         if j is not None:
-            t = iS + j if y == table[j][1] else iS - j
+            t = parity + 2 * (iS + j if y == table[j][1] else iS - j)
             if -H <= t <= H:
                 found.add(p + 1 - t)
         if x == xT:
@@ -375,6 +423,11 @@ def count_points_bsgs(E: CurveFp) -> int:
     these points (see _order_candidates) are intersected until one
     count is left; for p > 229 the constraints from E and its twist
     always pin it down, so smaller p are counted naively.
+
+    Only counts of the parity of #E are searched: odd when the
+    2-division cubic has no root in F_p (E.two_division_roots), even
+    otherwise.  Every twist shares that parity, since 2p + 2 - N = N
+    (mod 2); equally, its cubic's roots are f times those of E's.
     """
     if not E.good:
         raise ValueError("bad reduction")
@@ -382,6 +435,7 @@ def count_points_bsgs(E: CurveFp) -> int:
     if p <= MESTRE_BOUND:
         return _character_sum(E)
     A, B = E.short_model()
+    parity = 0 if E.two_division_roots else 1
     H = isqrt(4 * p)
     cand = None
     tries = 0
@@ -389,7 +443,8 @@ def count_points_bsgs(E: CurveFp) -> int:
         f = (x * x * x + A * x + B) % p
         if not f:
             continue
-        found = _order_candidates(p, A * f * f % p, (x * f % p, f * f % p), H)
+        P = (x * f % p, f * f % p)
+        found = _order_candidates(p, A * f * f % p, P, H, parity)
         if pow(f, (p - 1) // 2, p) != 1:
             found = {2 * p + 2 - N for N in found}
         cand = found if cand is None else cand & found

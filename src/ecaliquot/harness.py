@@ -261,7 +261,10 @@ def _sweep_segment(task: tuple) -> dict:
         if (
             q > p
             and disc % q != 0
-            and (q in counter.memo or not _even_count(disc, q))
+            and (
+                q in counter.memo
+                or not (_even_count(disc, q) or counter.full_two_torsion(q))
+            )
             and counter(q) == p
         ):
             record["pairs"].append(list(_verified(E, (p, q))))

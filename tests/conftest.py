@@ -6,10 +6,12 @@ from ecaliquot.aliquot import _Counter
 
 
 class _LyingCounter(_Counter):
-    """Claims #E(F_41) = 47 and #E(F_47) = 41: on 43a, y^2 + y = x^3 + x^2,
-    an amicable pair that is not there (the true counts are 37 and 44)."""
+    """Claims #E(F_41) = 53 and #E(F_53) = 41: on 43a, y^2 + y = x^3 + x^2,
+    an amicable pair that is not there (the true counts are 37 and 59).
+    Both true counts are odd, so no 2-torsion skip keeps the walk or the
+    pair check from asking for them."""
 
-    LIES = {41: 47, 47: 41}
+    LIES = {41: 53, 53: 41}
 
     def __call__(self, p):
         return self.LIES.get(p) or super().__call__(p)

@@ -100,15 +100,17 @@ class TestAmicablePairs:
 
     def test_lying_counter_is_caught(self, monkeypatch, lying_counter):
         monkeypatch.setattr(aliquot, "_Counter", lying_counter)
-        with pytest.raises(ArithmeticError, match=r"\(41, 47\)"):
+        with pytest.raises(ArithmeticError, match=r"\(41, 53\)"):
             amicable_pairs_up_to(E2, 100)
 
     def test_lying_counter_premises(self, lying_counter):
-        # The walk from 41 reaches 47 and returns: neither count is
-        # skipped as even, and each lie lies in the Hasse window.
+        # The walk from 41 reaches 53 and returns: neither count is
+        # skipped as even or for full 2-torsion, and each lie lies in
+        # the Hasse window.
         disc = E2.discriminant()
         for p, lie in lying_counter.LIES.items():
             assert not _even_count(disc, p)
+            assert not _Counter(E2).full_two_torsion(p)
             assert (lie - p - 1) ** 2 <= 4 * p
             assert count_points(reduce_curve(E2, p)) != lie
 
@@ -160,6 +162,23 @@ class TestParitySkip:
                     n = count_points_naive(reduce_curve(E, p))
                     assert n % 2 == 0, (E, p)
                     assert p < 7 or n > 2
+
+    def test_full_two_torsion_skip_is_exact(self):
+        # At every good p <= 3000 the skip fires exactly when the
+        # discriminant is a residue and 4 divides the count; a residue
+        # without it leaves the count odd.  14a1 has rational 2-torsion.
+        for E in (E2, E14, TRIPLE_CURVE):
+            disc = E.discriminant()
+            count = _Counter(E)
+            for p in primes_in_range(5, 3001):
+                if disc % p == 0:
+                    continue
+                residue = pow(disc % p, (p - 1) // 2, p) == 1
+                n = count_points_naive(reduce_curve(E, p))
+                skip = count.full_two_torsion(p)
+                assert skip == (residue and n % 4 == 0), (E, p)
+                if residue and not skip:
+                    assert n % 2 == 1, (E, p)
 
     def test_guard_keeps_prime_count_two_at_5(self):
         E = CurveQ.short(2, 0)  # #E(F_5) = 2, and disc is a non-residue mod 5

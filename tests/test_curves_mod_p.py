@@ -164,6 +164,26 @@ class TestBsgs:
         Ep = reduce_curve(E2, 999983)
         assert count_points_bsgs(Ep) == count_points_bsgs(Ep)
 
+    @pytest.mark.parametrize(
+        "E",
+        [E2, CurveQ(1, 0, 1, 4, -6), CurveQ.short(-25, -8)],
+        ids=["43a", "14a1", "x3-25x-8"],
+    )
+    def test_exhaustive_to_3000(self, E):
+        # Every good p <= 3000: the roots of the 2-division cubic against
+        # enumeration, and above Mestre's bound the BSGS count, which
+        # searches one parity, against the naive one.  14a1 has rational
+        # 2-torsion, so its search is over even counts only.
+        for p in primes_in_range(5, 3001):
+            if not E.has_good_reduction(p):
+                continue
+            Ep = reduce_curve(E, p)
+            A, B = Ep.short_model()
+            roots = sum((x * x * x + A * x + B) % p == 0 for x in range(p))
+            assert Ep.two_division_roots == roots, p
+            if p > MESTRE_BOUND:
+                assert count_points_bsgs(Ep) == count_points_naive(Ep), p
+
     @settings(max_examples=80, deadline=None)
     @given(
         st.sampled_from(primes_in_range(MESTRE_BOUND + 1, 20_000)),
@@ -199,22 +219,27 @@ def _affine_points(p, A, B):
 class TestOrderCandidates:
     @pytest.mark.parametrize("p", [233, 239, 241, 251, 2113])
     def test_every_point_gives_its_annihilators(self, p):
-        # The exact set {N in the Hasse window : N P = O}, with N P
-        # stepped through the window by the generic group law.
+        # The exact set {N in the Hasse window : N P = O, N = #E (mod 2)},
+        # with N P stepped through the window by the generic group law,
+        # on each curve and on its quadratic twist by a non-residue u.
         H = isqrt(4 * p)
         lo = p + 1 - H
+        u = next(u for u in range(2, p) if pow(u, (p - 1) // 2, p) == p - 1)
         for E in CANDIDATE_CURVES:
             Ep = reduce_curve(E, p)
             assert Ep.good
-            A, B = Ep.short_model()
-            for P in _affine_points(p, A, B):
-                want = set()
-                R = ec_mul(p, A, lo, P)
-                for N in range(lo, p + 2 + H):
-                    if R is None:
-                        want.add(N)
-                    R = ec_add(p, A, R, P)
-                assert _order_candidates(p, A, P, H) == want, (E, p, P)
+            parity = count_points_naive(Ep) % 2
+            a, b = Ep.short_model()
+            for A, B in ((a, b), (a * u * u % p, b * u * u * u % p)):
+                for P in _affine_points(p, A, B):
+                    want = set()
+                    R = ec_mul(p, A, lo, P)
+                    for N in range(lo, p + 2 + H):
+                        if R is None and N % 2 == parity:
+                            want.add(N)
+                        R = ec_add(p, A, R, P)
+                    got = _order_candidates(p, A, P, H, parity)
+                    assert got == want, (E, p, A, B, P)
 
 
 class TestCmBackend:

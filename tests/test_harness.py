@@ -405,7 +405,7 @@ class TestSweepAgainstSerialSearch:
     def test_lying_counter_is_caught(self, monkeypatch, lying_counter):
         monkeypatch.setattr(harness, "_Counter", lying_counter)
         cfg = ExperimentConfig(curve=REFERENCE_CURVE, x_bound=100)
-        with pytest.raises(ArithmeticError, match=r"\(41, 47\)"):
+        with pytest.raises(ArithmeticError, match=r"\(41, 53\)"):
             run_pair_sweep(cfg)
 
     def test_prime_image_count_matches_direct_loop(self):
@@ -874,7 +874,7 @@ class TestCli:
         assert result.exit_code == 1
         assert result.stdout == ""
         assert result.stderr == (
-            "# error: cycle (41, 47) failed independent recount\n"
+            "# error: cycle (41, 53) failed independent recount\n"
         )
 
     def test_checkpoint_flag(self, tmp_path):
