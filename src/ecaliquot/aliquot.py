@@ -26,8 +26,10 @@ from dataclasses import dataclass
 
 from .arith import factorint, isprime, primes_in_range, sqrt_mod_prime
 from .curves_mod_p import (
+    BACKENDS,
     CurveFp,
     CurveQ,
+    _count_tiny,
     _reduce,
     count_points,
     count_points_cm_j0,
@@ -46,16 +48,31 @@ from .eisenstein import (
 )
 
 
+def _even_count(disc: int, r: int) -> bool:
+    """Whether #E(F_r) is known to be even, hence composite, uncounted.
+
+    For a good odd prime r the 2-division polynomial has discriminant
+    16 disc; a non-residue leaves it exactly one root in F_r, so E(F_r)
+    has one point of order 2.  r >= 7 makes #E(F_r) >= r + 1 - 2 sqrt(r)
+    exceed 2 (y^2 = x^3 + 2x has #E(F_5) = 2).
+    """
+    return r >= 7 and pow(disc % r, (r - 1) // 2, r) == r - 1
+
+
 class _Counter:
     """Memoized point counter for one curve and backend.
 
     It is called only with primes (from the sieve, or images that have
     passed isprime), so it reduces and counts without testing them again.
+    It checks the backend once, and holds disc, the discriminant of E.
     """
 
     def __init__(self, E: CurveQ, backend: str = "auto"):
+        if backend not in BACKENDS:
+            raise ValueError(f"backend must be one of {BACKENDS}")
         self.E = E
         self.backend = backend
+        self.disc = E.discriminant()
         self.memo: dict[int, int] = {}
         # Reductions that full_two_torsion has tested, kept for their count.
         self._tested: dict[int, CurveFp] = {}
@@ -67,6 +84,18 @@ class _Counter:
             v = count_points(Ep, self.backend)
             self.memo[p] = v
         return v
+
+    def image(self, p: int) -> int:
+        """The aliquot step from a good prime p: #E(F_p), or 0 when
+        _even_count or full_two_torsion proves it composite uncounted.
+        A memoized count skips both tests; new counts go through self(p).
+        """
+        q = self.memo.get(p)
+        if q is None:
+            if _even_count(self.disc, p) or self.full_two_torsion(p):
+                return 0
+            q = self(p)
+        return q
 
     def full_two_torsion(self, p: int) -> bool:
         """Whether E(F_p) contains all of E[2] = (Z/2)^2, so that 4
@@ -91,12 +120,11 @@ def next_value(E: CurveQ, p: int, backend: str = "auto") -> int | None:
     """
     if p < 2 or not isprime(p):
         raise ValueError(f"{p} is not prime")
-    if not E.has_good_reduction(p):
+    count = _Counter(E, backend)
+    if count.disc % p == 0:
         raise ValueError(f"bad reduction at {p}")
-    q = _Counter(E, backend)(p)
-    if isprime(q) and E.has_good_reduction(q):
-        return q
-    return None
+    q = count.image(p)
+    return q if isprime(q) and count.disc % q else None
 
 
 @dataclass(frozen=True)
@@ -171,43 +199,23 @@ def _verified(E: CurveQ, primes: tuple[int, ...]) -> tuple[int, ...]:
     return primes
 
 
-def _even_count(disc: int, r: int) -> bool:
-    """Whether #E(F_r) is known to be even, hence composite, uncounted.
-
-    For a good odd prime r the 2-division polynomial has discriminant
-    16 disc; a non-residue leaves it exactly one root in F_r, so E(F_r)
-    has one point of order 2.  r >= 7 makes #E(F_r) >= r + 1 - 2 sqrt(r)
-    exceed 2 (y^2 = x^3 + 2x has #E(F_5) = 2).
-    """
-    return r >= 7 and pow(disc % r, (r - 1) // 2, r) == r - 1
-
-
 def _walk(
-    count: _Counter, disc: int, p: int, length: int, floor: int = 0
+    count: _Counter, p: int, length: int, floor: int = 0
 ) -> tuple[list[int], int | None]:
     """The aliquot walk p = p_1 -> p_2 -> ... through at most length primes.
 
     Each p_{i+1} = #E(F_{p_i}) is a prime that is new to the walk and
     >= floor.  The walk steps only from primes of good reduction, so
-    only its last prime can be bad.  Returns (walk, stop): stop is the
-    image that ended the walk early, 0 when that image is known to be
-    composite without counting it, or None when the walk reached length
-    primes or a bad prime.  Two skips give 0: a non-residue
-    discriminant, whose one point of order 2 makes the count even (see
-    _even_count), and then a 2-division cubic that splits, whose full
-    2-torsion makes it divisible by 4 (see _Counter.full_two_torsion).
-    A memoized count skips both tests: a composite count ends the walk
-    as 0 would, and callers only compare stop with p.  Every search and
-    sweep folds over it.
+    only its last prime can be bad.  Each step is count.image.  Returns
+    (walk, stop): stop is the image that ended the walk early (0 when
+    count.image proves it composite without counting it), or None when
+    the walk reached length primes or a bad prime; callers only compare
+    stop with p.  Every search and sweep folds over it.
     """
     walk = [p]
-    while len(walk) < length and disc % walk[-1]:
-        q = count.memo.get(walk[-1])
-        if q is None:
-            if _even_count(disc, walk[-1]) or count.full_two_torsion(walk[-1]):
-                return walk, 0
-            q = count(walk[-1])
-        if q < floor or q in walk or not isprime(q):
+    while len(walk) < length and count.disc % walk[-1]:
+        q = count.image(walk[-1])
+        if not q or q < floor or q in walk or not isprime(q):
             return walk, q
         walk.append(q)
     return walk, None
@@ -220,10 +228,9 @@ def _closed_walks(E: CurveQ, length: int, lo: int, X: int, backend: str):
     closed walk is found once, from its smallest prime.
     """
     count = _Counter(E, backend)
-    disc = E.discriminant()
     for p in primes_in_range(lo, X + 1):
-        if disc % p:
-            walk, stop = _walk(count, disc, p, length + 1, floor=p)
+        if count.disc % p:
+            walk, stop = _walk(count, p, length + 1, floor=p)
             if stop == p and len(walk) == length:
                 yield tuple(walk)
 
@@ -265,11 +272,10 @@ def chain_count(E: CurveQ, length: int, X: int, backend: str = "auto") -> int:
     if length < 1:
         raise ValueError("length must be >= 1")
     count = _Counter(E, backend)
-    disc = E.discriminant()
     return sum(
-        len(_walk(count, disc, p, length)[0]) == length
+        len(_walk(count, p, length)[0]) == length
         for p in primes_in_range(2, X + 1)
-        if disc % p
+        if count.disc % p
     )
 
 
@@ -406,21 +412,9 @@ def bad_trace(E: CurveQ, p: int) -> int:
         # Double root x0 of x^3 + Ax + B; the node splits iff 3*x0 is square.
         x0 = -3 * B * pow(2 * A, -1, p) % p
         return 1 if pow(3 * x0 % p, (p - 1) // 2, p) == 1 else -1
-    # p = 2 or 3: count smooth affine points on the long form directly.
-    a1, a2, a3, a4, a6 = (c % p for c in (E.a1, E.a2, E.a3, E.a4, E.a6))
-    smooth = 0
-    for x in range(p):
-        for y in range(p):
-            f = (
-                y * y + a1 * x * y + a3 * y - x**3 - a2 * x * x - a4 * x - a6
-            ) % p
-            if f:
-                continue
-            fx = (a1 * y - 3 * x * x - 2 * a2 * x - a4) % p
-            fy = (2 * y + a1 * x + a3) % p
-            if fx or fy:
-                smooth += 1
-    return p - (smooth + 1)
+    # p = 2 or 3: the one singular point is rational, so the smooth
+    # points number one fewer than all points, and a_p = p - that.
+    return p + 1 - _count_tiny(_reduce(E, p))
 
 
 def _a_prime_power(E: CurveQ, p: int, e: int, backend: str) -> int:

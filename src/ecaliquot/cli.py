@@ -3,13 +3,13 @@
 Every subcommand prints machine-readable rows (CSV by default, JSON
 with --format json) on stdout and a short human summary on stderr.
 Exit status 0 means success; 1 means an error (an invalid value, a
-checkpoint of another experiment, a failed computation, a found cycle
-or pair that fails its independent recount), reported as one
-`# error: ...` line on stderr with nothing on stdout; 2 means a
-mismatch against what the user or the repository supplies (a cycle
-given to `verify`, the reference pair list, or the brute-force count
-of c6check), or a malformed command line, which click reports with a
-usage message.
+checkpoint of another experiment, a checkpoint path that cannot be
+read or written, a failed computation, a found cycle or pair that
+fails its independent recount), reported as one `# error: ...` line
+on stderr with nothing on stdout; 2 means a mismatch against what the
+user or the repository supplies (a cycle given to `verify`, the
+reference pair list, or the brute-force count of c6check), or a
+malformed command line, which click reports with a usage message.
 """
 
 from __future__ import annotations
@@ -37,10 +37,9 @@ from .cm_density import (
     predict,
 )
 from .constructor import build_cycle_curve
-from .curves_mod_p import CurveQ
+from .curves_mod_p import BACKENDS, CurveQ
 from .eisenstein import Unit6, ideals_above
 from .harness import (
-    BACKENDS,
     FORMATS,
     ExperimentConfig,
     density_rows,
@@ -140,14 +139,14 @@ def _emit(rows: list[dict], out_format: str) -> None:
 
 
 class _Main(click.Group):
-    """The command group; library errors end a subcommand with status 1."""
+    """The command group; library and file errors exit with status 1."""
 
     def invoke(self, ctx: click.Context):
         try:
             return super().invoke(ctx)
         except (click.exceptions.Exit, click.Abort):
             raise  # --help and Ctrl-C: click's own RuntimeError subclasses
-        except (ValueError, ArithmeticError, RuntimeError) as exc:
+        except (ValueError, ArithmeticError, RuntimeError, OSError) as exc:
             click.echo(f"# error: {exc}", err=True)
             ctx.exit(1)
 
@@ -213,8 +212,11 @@ def cycles(curve, k, x_bound, lengths, backend, out_format):
     point counting route; a failed recount is an error (status 1).
     """
     E = _resolve_curve(curve, k)
+    wanted = _parse_ints(lengths, "--lengths")
+    if len(set(wanted)) != len(wanted):
+        raise ValueError("cycle lengths must be distinct")
     rows = []
-    for length in _parse_ints(lengths, "--lengths"):
+    for length in wanted:
         for cycle in aliquot_cycles_up_to(E, length, x_bound, backend):
             rows.append(
                 {

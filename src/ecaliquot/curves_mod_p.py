@@ -545,8 +545,11 @@ def cm_j0_counts(k: int, lo: int, flags: bytearray) -> dict[int, int]:
 # ---------------------------------------------------------------------------
 # Dispatch
 
+BACKENDS = ("auto", "naive", "bsgs", "cm")
+
+
 def count_points(E: CurveFp, backend: str = "auto") -> int:
-    """Count #E(F_p) with the selected backend.
+    """Count #E(F_p) with the selected backend, one of BACKENDS.
 
     "auto" picks by the curve: the CM formula when the reduction is
     y^2 = x^3 + k (every good prime is >= 5 there), else BSGS, which
@@ -555,19 +558,15 @@ def count_points(E: CurveFp, backend: str = "auto") -> int:
     """
     if not E.good:
         raise ValueError("bad reduction")
-    if backend == "cm":
-        if (E.a1, E.a2, E.a3, E.a4) != (0, 0, 0, 0):
-            raise ValueError("the cm backend applies to y^2 = x^3 + k only")
-        return _count_cm_j0(E.a6, E.p)
+    if backend not in BACKENDS:
+        raise ValueError(f"unknown backend {backend!r}")
     if backend == "naive":
         return count_points_naive(E)
-    if backend == "bsgs":
-        return count_points_bsgs(E)
-    if backend == "auto":
-        if (E.a1, E.a2, E.a3, E.a4) == (0, 0, 0, 0):
-            return _count_cm_j0(E.a6, E.p)
-        return count_points_bsgs(E)
-    raise ValueError(f"unknown backend {backend!r}")
+    if backend != "bsgs" and (E.a1, E.a2, E.a3, E.a4) == (0, 0, 0, 0):
+        return _count_cm_j0(E.a6, E.p)
+    if backend == "cm":
+        raise ValueError("the cm backend applies to y^2 = x^3 + k only")
+    return count_points_bsgs(E)
 
 
 def trace_a_p(E: CurveFp, backend: str = "auto") -> int:

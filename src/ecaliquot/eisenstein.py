@@ -238,7 +238,8 @@ def primary_associate(x: EisensteinInt) -> tuple[EisensteinInt, Unit6]:
 
 
 def _cornacchia_3(p: int) -> tuple[int, int]:
-    """Solve x^2 + 3*y^2 = p for a prime p = 1 mod 3."""
+    """Solve x^2 + 3*y^2 = p for a prime p = 1 mod 3 (Cornacchia; -3 is
+    a residue mod such p, so it always succeeds)."""
     r = sqrt_mod_prime(-3, p)
     if r * r % p == p - 3:
         if 2 * r < p:
@@ -252,12 +253,6 @@ def _cornacchia_3(p: int) -> tuple[int, int]:
             y = math.isqrt(y2)
             if y * y == y2:
                 return b, y
-    # Fallback (never expected for valid input): direct search.
-    for y in range(1, math.isqrt(p // 3) + 1):
-        x2 = p - 3 * y * y
-        x = math.isqrt(x2)
-        if x * x == x2:
-            return x, y
     raise ValueError(f"{p} is not represented by x^2 + 3*y^2")
 
 

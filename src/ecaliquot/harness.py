@@ -26,7 +26,7 @@ from fractions import Fraction
 from itertools import compress
 from pathlib import Path
 
-from .aliquot import _Counter, _even_count, _verified, _walk
+from .aliquot import _Counter, _verified, _walk
 # Unused since sweeps tally type 1 by the trace route; perfbench/spans.py
 # patches it.
 from .aliquot import classify_type1  # noqa: F401
@@ -34,9 +34,8 @@ from .aliquot import classify_type1  # noqa: F401
 from .arith import isprime  # noqa: F401
 from .arith import prime_flags, primes_in_range
 from .cm_density import predict
-from .curves_mod_p import CurveQ, cm_j0_counts
+from .curves_mod_p import BACKENDS, CurveQ, cm_j0_counts
 
-BACKENDS = ("auto", "naive", "bsgs", "cm")
 FORMATS = ("csv", "json")
 
 # The 55 amicable pairs (p, q) with p <= 10^11 on y^2 + y = x^3 + x^2,
@@ -215,11 +214,12 @@ def _sweep_segment(task: tuple) -> dict:
     q = #E(F_p) of a p in [lo, hi) by the Hasse bound, gives the
     segment's primes, and cm_j0_counts fills the counter's memo at every
     split prime of the window from its primary in Z[w].  Inert primes
-    need no count (_walk skips them as even, bar p = 5, which has 6
-    points), and every prime image is split, so only chain steps beyond
-    the window reach the counter's per-prime route.  A prime p of N_k is
-    type 1 iff a_q = q + 1 - #E(F_q) is +-(q + 1 - p): classify_type1's
-    trace route, without its symbol route.
+    need no count (counter.image skips them as even, bar p = 5, which
+    has 6 points), and every prime image is split, so only chain steps
+    beyond the window reach the counter's per-prime route.  A pair is a
+    walk back to p in two steps, so the pair check's step is
+    counter.image too.  A prime p of N_k is type 1 iff a_q = q + 1 -
+    #E(F_q) is +-(q + 1 - p): classify_type1's trace route alone.
     """
     E, lo, hi, k, lengths, backend = task
     counter = _Counter(E, backend)
@@ -230,7 +230,6 @@ def _sweep_segment(task: tuple) -> dict:
         primes = compress(range(lo, hi), flags[lo - wlo : hi - wlo])
     else:
         primes = primes_in_range(lo, hi)
-    disc = E.discriminant()
     depth = max((*lengths, 2))
     chains = dict.fromkeys((str(L) for L in lengths), 0)
     record = {
@@ -243,9 +242,9 @@ def _sweep_segment(task: tuple) -> dict:
         "chains": chains,
     }
     for p in primes:
-        if disc % p == 0:
+        if counter.disc % p == 0:
             continue
-        walk, stop = _walk(counter, disc, p, depth)
+        walk, stop = _walk(counter, p, depth)
         for L in lengths:
             if len(walk) >= L:
                 chains[str(L)] += 1
@@ -258,15 +257,7 @@ def _sweep_segment(task: tuple) -> dict:
         record["n_prime"] += 1
         if p < 5:
             continue
-        if (
-            q > p
-            and disc % q != 0
-            and (
-                q in counter.memo
-                or not (_even_count(disc, q) or counter.full_two_torsion(q))
-            )
-            and counter(q) == p
-        ):
+        if q > p and counter.disc % q and counter.image(q) == p:
             record["pairs"].append(list(_verified(E, (p, q))))
         if k is not None and (6 * k) % q != 0:
             record["n_k"] += 1
@@ -594,29 +585,6 @@ def run_growth_table(
 
 # ---------------------------------------------------------------------------
 # emission
-
-def report_rows(report: SweepReport) -> list[dict]:
-    """One summary row per report; ratios derived here, at print time.
-
-    Rows contain only deterministic values (no timings), so rendered
-    output is reproducible byte for byte.
-    """
-    row = {
-        "curve": report.curve,
-        "x_bound": report.x_bound,
-        "backend": report.backend,
-        "n_prime": report.n_prime,
-        "q_pairs": report.q_pairs,
-        "pair_ratio": report.pair_ratio,
-    }
-    if report.n_k is not None:
-        row["n_k"] = report.n_k
-        row["n_type1"] = report.n_type1
-        row["type1_ratio"] = report.type1_ratio
-    for length, count in report.chains:
-        row[f"chains_{length}"] = count
-    return [row]
-
 
 def pair_rows(report: SweepReport) -> list[dict]:
     return [{"p": p, "q": q} for p, q in report.pairs]

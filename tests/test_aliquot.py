@@ -185,15 +185,40 @@ class TestParitySkip:
         disc = E.discriminant()
         assert pow(disc % 5, 2, 5) == 4
         assert count_points_naive(reduce_curve(E, 5)) == 2
-        assert _walk(_Counter(E), disc, 5, 2) == ([5, 2], None)
+        assert _walk(_Counter(E), 5, 2) == ([5, 2], None)
         assert chain_count(E, 2, 5) == 1
 
     def test_walk_stops_uncounted_at_even_image(self):
         disc = E2.discriminant()
         p = next(p for p in primes_in_range(7, 1000) if _even_count(disc, p))
         count = _Counter(E2)
-        assert _walk(count, disc, p, 3) == ([p], 0)
+        assert _walk(count, p, 3) == ([p], 0)
         assert count.memo == {}
+
+    def test_image_is_the_walk_step(self):
+        # image(p) is #E(F_p) unless a 2-torsion test proves it composite,
+        # and 0 exactly then; only the counted primes enter the memo.
+        for E in (E2, E14, TRIPLE_CURVE):
+            count = _Counter(E)
+            for p in primes_in_range(5, 2001):
+                if count.disc % p == 0:
+                    continue
+                n = count_points_naive(reduce_curve(E, p))
+                q = count.image(p)
+                assert q in (0, n), (E, p)
+                assert (q == 0) == (p not in count.memo), (E, p)
+                assert q or n % 2 == 0, (E, p)
+                assert count.image(p) == q, (E, p)
+
+
+class TestBackendCheck:
+    def test_unknown_backend_is_refused(self):
+        with pytest.raises(ValueError, match="backend"):
+            chain_count(E2, 1, 1000, backend="bogus")
+        with pytest.raises(ValueError, match="backend"):
+            amicable_pairs_up_to(E2, 4, backend="bogus")
+        with pytest.raises(ValueError, match="backend"):
+            next_value(E2, 5, backend="bogus")
 
 
 class TestPrimeOrderCertificate:
@@ -399,7 +424,14 @@ class TestTypeMaps:
         assert bad_trace(MORDELL2, 3) == 0
 
     def test_bad_trace_multiplicative_against_enumeration(self):
-        for E, p in ((E1, 37), (E2, 43), (CurveQ.mordell(27), 5)):
+        cases = (
+            (E1, 37),
+            (E2, 43),
+            (CurveQ.mordell(27), 5),
+            (E14, 2),  # 14a1, multiplicative at 2
+            (CurveQ(1, 1, 1, -10, -10), 3),  # 15a1, multiplicative at 3
+        )
+        for E, p in cases:
             if E.has_good_reduction(p):
                 continue
             a1, a2, a3, a4, a6 = (c % p for c in (E.a1, E.a2, E.a3, E.a4, E.a6))
@@ -415,6 +447,7 @@ class TestTypeMaps:
                     if fx or fy:
                         smooth += 1
             assert bad_trace(E, p) == p - smooth - 1, (E, p)
+        assert bad_trace(E14, 2) == bad_trace(CurveQ(1, 1, 1, -10, -10), 3) == -1
 
     def test_bad_trace_rejects_good_primes(self):
         with pytest.raises(ValueError):

@@ -5,7 +5,7 @@ import math
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from sympy import legendre_symbol, nextprime
+from sympy import legendre_symbol, primerange
 
 from ecaliquot.eisenstein import (
     ONE,
@@ -142,13 +142,13 @@ class TestPrimaryElements:
         assert primary_split(19) == EisensteinInt(2, 3)
 
     def test_primary_split_norms(self):
-        p = 7
-        for _ in range(60):
-            if p % 3 == 1:
-                pi = primary_split(p)
-                assert norm(pi) == p
-                assert pi.is_primary() and pi.b > 0
-            p = int(nextprime(p))
+        # Every split prime below 10^5, so that a Cornacchia miss would show.
+        split = [p for p in primerange(7, 10**5) if p % 3 == 1]
+        assert len(split) == 4784
+        for p in split:
+            pi = primary_split(p)
+            assert norm(pi) == p
+            assert pi.is_primary() and pi.b > 0
 
     def test_primary_split_rejects_inert_and_three(self):
         for bad in (2, 3, 5, 11, 12):

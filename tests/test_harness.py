@@ -44,7 +44,6 @@ from ecaliquot.harness import (
     growth_rows,
     pair_rows,
     render_rows,
-    report_rows,
     run_density_report,
     run_growth_table,
     run_pair_sweep,
@@ -221,7 +220,6 @@ class TestCmSweep:
             return _even_count(disc, r)
 
         monkeypatch.setattr(aliquot, "_even_count", recording)
-        monkeypatch.setattr(harness, "_even_count", recording)
         X = 10**5
         report = run_pair_sweep(ExperimentConfig(k=7, x_bound=X, backend="cm"))
         inert = [p for p in primes_in_range(3, X + 1) if p % 3 == 2]
@@ -436,9 +434,7 @@ class TestCheckpointing:
         ck = tmp_path / "sweep.ckpt"
         cfg = self._config(ck)
         full = run_pair_sweep(cfg)
-        full_csv = render_rows(
-            pair_rows(full), "csv"
-        ) + render_rows(report_rows(full), "csv")
+        full_csv = render_rows(pair_rows(full), "csv")
 
         lines = ck.read_text().splitlines()
         assert len(lines) > 3
@@ -448,10 +444,7 @@ class TestCheckpointing:
         )
         resumed = run_pair_sweep(cfg)
         assert resumed == full
-        resumed_csv = render_rows(
-            pair_rows(resumed), "csv"
-        ) + render_rows(report_rows(resumed), "csv")
-        assert resumed_csv == full_csv
+        assert render_rows(pair_rows(resumed), "csv") == full_csv
 
     def test_torn_last_record_is_recomputed_once(self, tmp_path):
         ck = tmp_path / "sweep.ckpt"
@@ -668,18 +661,17 @@ class TestEmission:
         with pytest.raises(ValueError):
             render_rows([{"a": 1}], "tsv")
 
-    def test_report_rows_derive_ratios(self):
+    def test_report_derives_ratios(self):
         report = run_pair_sweep(
             ExperimentConfig(k=5, x_bound=5_000, lengths=(2,))
         )
-        (row,) = report_rows(report)
-        assert row["pair_ratio"] == pytest.approx(
-            row["q_pairs"] / row["n_prime"]
+        assert report.pair_ratio == pytest.approx(
+            report.q_pairs / report.n_prime
         )
-        assert row["type1_ratio"] == pytest.approx(
-            row["n_type1"] / row["n_k"]
+        assert report.type1_ratio == pytest.approx(
+            report.n_type1 / report.n_k
         )
-        assert row["chains_2"] == report.chain_count(2)
+        assert report.chain_count(2) == dict(report.chains)[2]
 
     def test_density_rows_format_exact_fraction(self):
         (row,) = density_rows([run_density_report(5, 5_000)])
@@ -786,6 +778,14 @@ class TestCli:
         assert result.stdout == ""
         assert result.stderr == "# error: chain lengths must be distinct\n"
 
+    def test_repeated_cycle_lengths_exit_1(self):
+        result = self.runner.invoke(
+            main, ["cycles", "--k", "2", "--X", "1000", "--lengths", "2,2"]
+        )
+        assert result.exit_code == 1
+        assert result.stdout == ""
+        assert result.stderr == "# error: cycle lengths must be distinct\n"
+
     def test_density_table(self):
         result = self.invoke(
             "density", "--k", "5", "--X", "20000", "--format", "json"
@@ -853,6 +853,18 @@ class TestCli:
         assert result.stderr.startswith("# error: checkpoint ")
         assert "different experiment" in result.stderr
         assert "Traceback" not in result.stderr
+        assert len(result.stderr.splitlines()) == 1
+
+    @pytest.mark.parametrize("where", ["missing/x.ckpt", "."], ids=["missing-dir", "a-dir"])
+    def test_unusable_checkpoint_path_exits_1(self, tmp_path, where):
+        ck = tmp_path / where
+        result = self.runner.invoke(
+            main, ["pairs", "--k", "2", "--X", "1000", "--checkpoint", str(ck)]
+        )
+        assert result.exit_code == 1
+        assert result.stdout == ""
+        assert result.stderr.startswith("# error: ")
+        assert str(ck) in result.stderr
         assert len(result.stderr.splitlines()) == 1
 
     def test_subcommand_help_exits_0(self):
