@@ -7,16 +7,17 @@ possible values of #E(F_q) given #E(F_p) = q collapse to two, and for
 j = 0 the sextic residue symbol decides between them; the helpers at
 the bottom of the module implement those dichotomies exactly.
 
-Every search folds over one walk, which counts only what a cycle
-needs: a prime image.  Two tests of the 2-torsion of E(F_p) stop it
-without counting.  When the discriminant is a non-residue mod p >= 7,
-E(F_p) has exactly one point of order 2, so #E(F_p) is even and
-composite.  Otherwise the 2-division cubic has 0 or 3 roots in F_p,
-and x^p mod the cubic tells which; with 3, E(F_p) contains (Z/2)^2,
-so 4 divides #E(F_p).  With none, #E(F_p) is odd, and the count that
-follows searches odd orders only.  Found cycles and pairs are
-re-verified by a prime-order certificate that shares no code with the
-counting backends.
+Every search folds over one walk, whose step _Counter.image returns
+only what a cycle needs: a prime image, or 0.  Its primality comes from
+a sieved window when the caller holds one, as a sweep does.  Two tests
+of the 2-torsion of E(F_p) stop the walk without counting.  When the
+discriminant is a non-residue mod p >= 7, E(F_p) has exactly one point
+of order 2, so #E(F_p) is even and composite.  Otherwise the 2-division
+cubic has 0 or 3 roots in F_p, and x^p mod the cubic tells which; with
+3, E(F_p) contains (Z/2)^2, so 4 divides #E(F_p).  With none, #E(F_p)
+is odd, and the count that follows searches odd orders only.  Found
+cycles and pairs are re-verified by a prime-order certificate that
+shares no code with the counting backends.
 """
 
 from __future__ import annotations
@@ -62,18 +63,26 @@ def _even_count(disc: int, r: int) -> bool:
 class _Counter:
     """Memoized point counter for one curve and backend.
 
-    It is called only with primes (from the sieve, or images that have
-    passed isprime), so it reduces and counts without testing them again.
-    It checks the backend once, and holds disc, the discriminant of E.
+    It is called only with primes (from a sieve, or prime images), so it
+    reduces and counts without testing them again.  It checks the
+    backend once, and holds disc, the discriminant of E, and optionally
+    a sieved window: flags[n - lo] marks the primes n of [lo, lo +
+    len(flags)), which decide the primality of the images that fall in
+    it.
     """
 
-    def __init__(self, E: CurveQ, backend: str = "auto"):
+    def __init__(
+        self, E: CurveQ, backend: str = "auto", lo: int = 0, flags: bytes = b""
+    ):
         if backend not in BACKENDS:
             raise ValueError(f"backend must be one of {BACKENDS}")
         self.E = E
         self.backend = backend
         self.disc = E.discriminant()
         self.memo: dict[int, int] = {}
+        self.lo = lo
+        self.hi = lo + len(flags)
+        self.flags = flags
         # Reductions that full_two_torsion has tested, kept for their count.
         self._tested: dict[int, CurveFp] = {}
 
@@ -86,16 +95,23 @@ class _Counter:
         return v
 
     def image(self, p: int) -> int:
-        """The aliquot step from a good prime p: #E(F_p), or 0 when
-        _even_count or full_two_torsion proves it composite uncounted.
-        A memoized count skips both tests; new counts go through self(p).
+        """The aliquot step from a good prime p: #E(F_p) when it is
+        prime, else 0.
+
+        A memoized count is looked up; otherwise _even_count or
+        full_two_torsion may prove it composite uncounted, and new
+        counts go through self(p).  Primality comes from the window's
+        flags, and from isprime only for a count outside the window.
+        A prime count is returned even where E has bad reduction.
         """
         q = self.memo.get(p)
         if q is None:
             if _even_count(self.disc, p) or self.full_two_torsion(p):
                 return 0
             q = self(p)
-        return q
+        if self.lo <= q < self.hi:
+            return q if self.flags[q - self.lo] else 0
+        return q if isprime(q) else 0
 
     def full_two_torsion(self, p: int) -> bool:
         """Whether E(F_p) contains all of E[2] = (Z/2)^2, so that 4
@@ -117,14 +133,13 @@ def next_value(E: CurveQ, p: int, backend: str = "auto") -> int | None:
     """The aliquot step: q = #E(F_p) if q is a prime of good reduction.
 
     Returns None when the walk stops (q composite or bad reduction at q).
+    p must be a prime of good reduction; reduce_curve checks primality.
     """
-    if p < 2 or not isprime(p):
-        raise ValueError(f"{p} is not prime")
     count = _Counter(E, backend)
-    if count.disc % p == 0:
+    if not reduce_curve(E, p).good:
         raise ValueError(f"bad reduction at {p}")
     q = count.image(p)
-    return q if isprime(q) and count.disc % q else None
+    return q if q and count.disc % q else None
 
 
 @dataclass(frozen=True)
@@ -206,16 +221,17 @@ def _walk(
 
     Each p_{i+1} = #E(F_{p_i}) is a prime that is new to the walk and
     >= floor.  The walk steps only from primes of good reduction, so
-    only its last prime can be bad.  Each step is count.image.  Returns
-    (walk, stop): stop is the image that ended the walk early (0 when
-    count.image proves it composite without counting it), or None when
-    the walk reached length primes or a bad prime; callers only compare
-    stop with p.  Every search and sweep folds over it.
+    only its last prime can be bad.  Each step is count.image, which
+    decides primality.  Returns (walk, stop): stop is the image that
+    ended the walk early (0 for any image that is not prime, counted or
+    not), or None when the walk reached length primes or a bad prime;
+    callers only compare stop with p.  Every search and sweep folds
+    over it.
     """
     walk = [p]
     while len(walk) < length and count.disc % walk[-1]:
         q = count.image(walk[-1])
-        if not q or q < floor or q in walk or not isprime(q):
+        if not q or q < floor or q in walk:
             return walk, q
         walk.append(q)
     return walk, None

@@ -414,7 +414,12 @@ def c6_count_bruteforce(
 
 def _c6_counts_bruteforce(pairs, K: PrimeIdealK) -> list[int]:
     """c6_count_bruteforce for each witness pair (gamma, delta), from one
-    table of cubes of the residue field of K shared by all of them."""
+    table of cubes of the residue field of K shared by all of them.
+
+    Each distinct sixth power s is visited once: it is z^6 for
+    (N - 1) / #sixths of the z in F^*, and each such z with
+    gamma s (1 - gamma s) / delta a nonzero cube has 3 points.
+    """
     counts = []
     if K.kind == "split":
         p = K.residue_norm
@@ -424,7 +429,8 @@ def _c6_counts_bruteforce(pairs, K: PrimeIdealK) -> list[int]:
         is_cube = bytearray(p)
         for c in cubes:
             is_cube[c] = 1
-        sixths = [c * c % p for c in cubes]
+        sixths = {c * c % p for c in cubes}
+        weight = 3 * (p - 1) // len(sixths)
         for gamma, delta in pairs:
             g = K.reduce(gamma)
             d_inv = pow(K.reduce(delta), -1, p)
@@ -432,7 +438,7 @@ def _c6_counts_bruteforce(pairs, K: PrimeIdealK) -> list[int]:
             for s in sixths:
                 u = g * s % p  # gamma z^6
                 if is_cube[u * (1 - u) * d_inv % p]:
-                    count += 3
+                    count += weight
             counts.append(count)
     else:
         k = K.generator.a
@@ -446,7 +452,8 @@ def _c6_counts_bruteforce(pairs, K: PrimeIdealK) -> list[int]:
         is_cube = bytearray(k * k)
         for c in cubes:
             is_cube[c[0] * k + c[1]] = 1
-        sixths = [_pair_mul(c, c, k) for c in cubes]
+        sixths = {_pair_mul(c, c, k) for c in cubes}
+        weight = 3 * (k * k - 1) // len(sixths)
         for gamma, delta in pairs:
             g = K.reduce(gamma)
             d_inv = _pair_pow(K.reduce(delta), k * k - 2, k)  # d^(N-2) = d^(-1)
@@ -456,7 +463,7 @@ def _c6_counts_bruteforce(pairs, K: PrimeIdealK) -> list[int]:
                 one_minus = ((1 - gz6[0]) % k, (-gz6[1]) % k)
                 w = _pair_mul(_pair_mul(gz6, one_minus, k), d_inv, k)
                 if is_cube[w[0] * k + w[1]]:
-                    count += 3
+                    count += weight
             counts.append(count)
     return [
         n + e_term(sextic_symbol(gamma, K), sextic_symbol(delta, K) ** 2)

@@ -23,9 +23,10 @@ psi computed on bare integers.  It has two routes to pi.  One prime at a
 time, :func:`count_points_cm_j0` and ``count_points`` take pi from
 ``primary_split`` (Cornacchia).  Over a range, :func:`cm_j0_counts`
 walks the primaries themselves and keeps those whose norm a sieve marks
-prime; the sweep of a segment takes this route on y^2 = x^3 + k under
-the ``cm`` and ``auto`` backends, and the first route only for what the
-range does not hold.
+prime, and gives each inert prime of the range its p + 1; the sweep of
+a segment takes this route on y^2 = x^3 + k under the ``cm`` and
+``auto`` backends, and the first route only for what the range does
+not hold.
 
 The ``auto`` choice of :func:`count_points` is a property of the curve,
 not of p: the CM formula when the reduction is y^2 = x^3 + k, else
@@ -39,7 +40,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from itertools import chain
+from itertools import chain, compress
 from math import gcd, isqrt
 
 from .arith import isprime, nextprime
@@ -105,6 +106,10 @@ class CurveQ:
         return _b_invariants(self.a1, self.a2, self.a3, self.a4, self.a6)
 
     def discriminant(self) -> int:
+        return self._discriminant
+
+    @cached_property
+    def _discriminant(self) -> int:
         b2, b4, b6, b8 = self.b_invariants()
         return -b2 * b2 * b8 - 8 * b4 ** 3 - 27 * b6 * b6 + 9 * b2 * b4 * b6
 
@@ -153,8 +158,12 @@ class CurveFp:
         """Coefficients (A, B) with y^2 = x^3 + Ax + B isomorphic to self.
 
         Valid for p >= 5: this is the classical substitution through the
-        c-invariants, A = -27 c4, B = -54 c6.
+        c-invariants, A = -27 c4, B = -54 c6, derived once per reduction.
         """
+        return self._short_model
+
+    @cached_property
+    def _short_model(self) -> tuple[int, int]:
         if self.p < 5:
             raise ValueError("no short model in characteristic 2 or 3")
         if self.a1 == 0 and self.a2 == 0 and self.a3 == 0:
@@ -514,17 +523,23 @@ def _count_at_primary(k: int, p: int, a: int, b: int) -> int:
 
 
 def cm_j0_counts(k: int, lo: int, flags: bytearray) -> dict[int, int]:
-    """#E(F_p) on y^2 = x^3 + k at every split prime p in [lo, hi) with p
-    not dividing 6k, where flags[n - lo] marks the primes n < hi.
+    """#E(F_p) on y^2 = x^3 + k at every prime p in [lo, hi) with p not
+    dividing 6k, where flags[n - lo] marks the primes n < hi.
 
-    Each such p is the norm a^2 + ab + b^2 of exactly one primary
-    a + b w with b > 0 (the one primary_split returns), and a = 2,
-    b = 0 (mod 3).  The walk runs over those lattice points by b, and
-    over the trace c = 2a + b, since 4 N = c^2 + 3 b^2; a prime norm is
-    counted at its primary, with no Cornacchia step and no primality test.
+    An inert p = 2 (mod 3) is supersingular, with p + 1 points.  A split
+    p is the norm a^2 + ab + b^2 of exactly one primary a + b w with
+    b > 0 (the one primary_split returns), and a = 2, b = 0 (mod 3).
+    The walk runs over those lattice points by b, and over the trace
+    c = 2a + b, since 4 N = c^2 + 3 b^2; a prime norm is counted at its
+    primary, with no Cornacchia step and no primality test.
     """
     hi = lo + len(flags)
-    counts = {}
+    first = lo + (2 - lo) % 3  # the least n >= lo with n = 2 (mod 3)
+    counts = {
+        n: n + 1
+        for n in compress(range(first, hi, 3), flags[first - lo :: 3])
+        if (6 * k) % n
+    }
     for b in range(3, isqrt((4 * hi - 1) // 3) + 1, 3):
         t = 3 * b * b
         low = 4 * lo - t  # c^2 ranges over [low, 4 hi - t)

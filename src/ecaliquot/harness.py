@@ -30,9 +30,10 @@ from .aliquot import _Counter, _verified, _walk
 # Unused since sweeps tally type 1 by the trace route; perfbench/spans.py
 # patches it.
 from .aliquot import classify_type1  # noqa: F401
-# Unused since sweeps step through aliquot._walk; perfbench/spans.py patches it.
-from .arith import isprime  # noqa: F401
-from .arith import prime_flags, primes_in_range
+# Unused since sweeps step through aliquot._walk and take their primes
+# from the window sieve; perfbench/spans.py patches both.
+from .arith import isprime, primes_in_range  # noqa: F401
+from .arith import prime_flags
 from .cm_density import predict
 from .curves_mod_p import BACKENDS, CurveQ, cm_j0_counts
 
@@ -207,29 +208,27 @@ class SweepReport:
 def _sweep_segment(task: tuple) -> dict:
     """Tally one prime segment [lo, hi); returns a JSON-ready record.
 
-    Counts come from a _Counter, one prime at a time, except on
-    y^2 = x^3 + k under the cm or auto backend (the curves count_points
-    sends to the CM formula).  There one sieve of the window
-    [lo - 2 sqrt(lo) - 2, hi + 2 sqrt(hi) + 3), which holds every image
-    q = #E(F_p) of a p in [lo, hi) by the Hasse bound, gives the
-    segment's primes, and cm_j0_counts fills the counter's memo at every
-    split prime of the window from its primary in Z[w].  Inert primes
-    need no count (counter.image skips them as even, bar p = 5, which
-    has 6 points), and every prime image is split, so only chain steps
-    beyond the window reach the counter's per-prime route.  A pair is a
-    walk back to p in two steps, so the pair check's step is
-    counter.image too.  A prime p of N_k is type 1 iff a_q = q + 1 -
-    #E(F_q) is +-(q + 1 - p): classify_type1's trace route alone.
+    One sieve of the window [lo - 2 sqrt(lo) - 2, hi + 2 sqrt(hi) + 3),
+    which holds every image q = #E(F_p) of a p in [lo, hi) by the Hasse
+    bound, gives the segment's primes, and the counter holds its flags,
+    so counter.image tests a prime image by lookup; only steps whose
+    image lies beyond the window reach isprime.  On y^2 = x^3 + k under
+    the cm or auto backend (the curves count_points sends to the CM
+    formula), cm_j0_counts also fills the counter's memo at every good
+    prime of the window: a split prime from its primary in Z[w], an
+    inert one with its supersingular p + 1.  There only chain steps
+    beyond the window count one prime at a time.  A pair is a walk back
+    to p in two steps, so the pair check's step is counter.image too.
+    A prime p of N_k is type 1 iff a_q = q + 1 - #E(F_q) is
+    +-(q + 1 - p): classify_type1's trace route alone.
     """
     E, lo, hi, k, lengths, backend = task
-    counter = _Counter(E, backend)
+    wlo = max(2, lo - 2 * math.isqrt(lo) - 2)
+    flags = prime_flags(wlo, hi + 2 * math.isqrt(hi) + 3)
+    counter = _Counter(E, backend, wlo, flags)
     if E.is_mordell() and backend in ("cm", "auto"):
-        wlo = max(2, lo - 2 * math.isqrt(lo) - 2)
-        flags = prime_flags(wlo, hi + 2 * math.isqrt(hi) + 3)
         counter.memo.update(cm_j0_counts(E.a6, wlo, flags))
-        primes = compress(range(lo, hi), flags[lo - wlo : hi - wlo])
-    else:
-        primes = primes_in_range(lo, hi)
+    primes = compress(range(lo, hi), flags[lo - wlo : hi - wlo])
     depth = max((*lengths, 2))
     chains = dict.fromkeys((str(L) for L in lengths), 0)
     record = {

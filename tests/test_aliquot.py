@@ -30,7 +30,7 @@ from ecaliquot.aliquot import (
     type_n_step,
     verify_cycle,
 )
-from ecaliquot.arith import primes_in_range
+from ecaliquot.arith import prime_flags, primes_in_range
 from ecaliquot.curves_mod_p import (
     CurveQ,
     count_points,
@@ -196,19 +196,60 @@ class TestParitySkip:
         assert count.memo == {}
 
     def test_image_is_the_walk_step(self):
-        # image(p) is #E(F_p) unless a 2-torsion test proves it composite,
-        # and 0 exactly then; only the counted primes enter the memo.
+        # image(p) is #E(F_p) when that count is prime and 0 otherwise,
+        # with or without a window; [500, 1500) holds some images and
+        # leaves others to isprime.
         for E in (E2, E14, TRIPLE_CURVE):
-            count = _Counter(E)
-            for p in primes_in_range(5, 2001):
-                if count.disc % p == 0:
+            for lo, hi in ((0, 0), (2, 2200), (500, 1500)):
+                flags = prime_flags(lo, hi) if hi else b""
+                count = _Counter(E, "auto", lo, flags)
+                for p in primes_in_range(5, 2001):
+                    if count.disc % p == 0:
+                        continue
+                    n = count_points_naive(reduce_curve(E, p))
+                    want = n if isprime(n) else 0
+                    assert count.image(p) == want, (E, p)
+                    assert count.image(p) == want, (E, p)  # memo or skip again
+
+    def test_window_edges_agree_with_isprime(self, monkeypatch):
+        # Windows [lo, hi) that start at, just below and just above the
+        # image n, or end at or just past it: the flags decide inside,
+        # isprime outside, and both give the same step.
+        tested = []
+
+        def recording(n):
+            tested.append(n)
+            return isprime(n)
+
+        monkeypatch.setattr(aliquot, "isprime", recording)
+        for E in (E2, TRIPLE_CURVE):
+            disc = E.discriminant()
+            for p in primes_in_range(5, 700):
+                if disc % p == 0:
                     continue
                 n = count_points_naive(reduce_curve(E, p))
-                q = count.image(p)
-                assert q in (0, n), (E, p)
-                assert (q == 0) == (p not in count.memo), (E, p)
-                assert q or n % 2 == 0, (E, p)
-                assert count.image(p) == q, (E, p)
+                want = n if isprime(n) else 0
+                edges = ((n, n + 1), (n - 1, n), (n + 1, n + 9), (n - 9, n))
+                for lo, hi in edges:
+                    lo = max(2, lo)
+                    count = _Counter(E, "auto", lo, prime_flags(lo, hi))
+                    count.memo[p] = n  # straight to the primality test
+                    tested.clear()
+                    assert count.image(p) == want, (E, p, lo, hi)
+                    inside = lo <= n < hi
+                    assert tested == ([] if inside else [n]), (E, p, lo, hi)
+
+    def test_bad_prime_images_keep_their_walks(self):
+        # A prime image where E is bad is still the step, and the walk
+        # ends after it: #E(F_11) = 7 on y^2 = x^3 - 5x - 5, bad at 7,
+        # and #E(F_7) = 11 on y^2 = x^3 - 5x - 1, bad at 11.
+        cases = ((CurveQ.short(-5, -5), 11, 7), (CurveQ.short(-5, -1), 7, 11))
+        for E, p, q in cases:
+            assert not E.has_good_reduction(q)
+            for window in ((), (2, prime_flags(2, 30))):
+                count = _Counter(E, "auto", *window)
+                assert count.image(p) == q
+                assert _walk(count, p, 3) == ([p, q], None)
 
 
 class TestBackendCheck:

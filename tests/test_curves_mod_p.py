@@ -311,19 +311,28 @@ class TestCmRange:
         want = {
             p: count_points_cm_j0(k, p)
             for p in primes_in_range(5, 2 * 10**5)
-            if p % 3 == 1 and (6 * k) % p
+            if (6 * k) % p
         }
         assert got == want
         for p, n in got.items():  # the symbol route, on EisensteinInt
-            assert n == p + 1 - grossencharacter_j0(k, p).trace, p
+            if p % 3 == 1:
+                assert n == p + 1 - grossencharacter_j0(k, p).trace, p
 
     @pytest.mark.parametrize("k", [1, 2, -3, 5, 7, 16])
     def test_matches_naive_below_3000(self, k):
         E = CurveQ.mordell(k)
-        want = {
-            p: n for p, n in _naive_counts(E, 5, 3000).items() if p % 3 == 1
-        }
+        want = _naive_counts(E, 5, 3000)
         assert cm_j0_counts(k, 2, prime_flags(2, 3000)) == want
+
+    @pytest.mark.parametrize("k", [1, 2, -3, 5, 7, 16, 35, 55])
+    def test_inert_primes_are_supersingular_and_bad_primes_absent(self, k):
+        X = 2 * 10**5
+        counts = {}
+        for lo, hi in _uneven_segments(X):
+            counts.update(cm_j0_counts(k, lo, prime_flags(lo, hi)))
+        inert = [p for p in primes_in_range(2, X) if p % 3 == 2]
+        assert all(counts.get(p) == p + 1 for p in inert if (6 * k) % p)
+        assert {p for p in primes_in_range(2, X) if (6 * k) % p} == set(counts)
 
 
 def _naive_counts(E, lo, hi):

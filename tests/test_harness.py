@@ -210,21 +210,27 @@ class TestCmSweep:
         assert 0 < n_type1
 
     def test_parity_test_reaches_only_unmemoized_primes(self, monkeypatch):
-        # The window's counts are memoized at every split prime, so the
-        # walk and the pair check test parity at the inert primes alone:
-        # about half of the primes swept.
-        tested = []
+        # The window's counts are memoized at every good prime, split or
+        # inert, so the walk and the pair check never test parity, and
+        # the window's flags decide every image: isprime sees only the
+        # members of the reported pairs, as verify_cycle checks them.
+        tested, primality = [], []
 
         def recording(disc, r):
             tested.append(r)
             return _even_count(disc, r)
 
+        def recording_isprime(n):
+            primality.append(n)
+            return isprime(n)
+
         monkeypatch.setattr(aliquot, "_even_count", recording)
+        monkeypatch.setattr(aliquot, "isprime", recording_isprime)
         X = 10**5
         report = run_pair_sweep(ExperimentConfig(k=7, x_bound=X, backend="cm"))
-        inert = [p for p in primes_in_range(3, X + 1) if p % 3 == 2]
         assert report.n_k and report.pairs
-        assert sorted(tested) == inert
+        assert tested == []
+        assert primality == [n for pair in report.pairs for n in pair]
 
     def test_window_reaches_the_extreme_images(self, monkeypatch):
         # p = m^2 + m + 1 has images p +- (2m + 1) on some twists: the
