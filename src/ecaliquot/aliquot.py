@@ -9,15 +9,17 @@ the bottom of the module implement those dichotomies exactly.
 
 Every search folds over one walk, whose step _Counter.image returns
 only what a cycle needs: a prime image, or 0.  Its primality comes from
-a sieved window when the caller holds one, as a sweep does.  Two tests
-of the 2-torsion of E(F_p) stop the walk without counting.  When the
-discriminant is a non-residue mod p >= 7, E(F_p) has exactly one point
-of order 2, so #E(F_p) is even and composite.  Otherwise the 2-division
-cubic has 0 or 3 roots in F_p, and x^p mod the cubic tells which; with
-3, E(F_p) contains (Z/2)^2, so 4 divides #E(F_p).  With none, #E(F_p)
-is odd, and the count that follows searches odd orders only.  Found
-cycles and pairs are re-verified by a prime-order certificate that
-shares no code with the counting backends.
+a sieved window when the caller holds one, as a sweep does.  One test
+of the 2-torsion of E(F_p) stops the walk without counting: any root
+of the 2-division cubic in F_p is a point of order 2, so #E(F_p) is
+even and, for p >= 7, composite.  One Legendre symbol tells one root
+from 0 or 3, and a Lucas sequence tells 0 from 3.  With no root,
+#E(F_p) is odd.  Above MESTRE_BOUND on a curve that BSGS counts, the
+step then asks for no count: a point P of E and the first odd N in the
+Hasse window with N P = O decide it, as #E(F_p) = N when N is prime
+and #E(F_p) is composite otherwise.  Found cycles and pairs are
+re-verified by a prime-order certificate that shares no code with the
+counting backends.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from dataclasses import dataclass
 from .arith import factorint, isprime, primes_in_range, sqrt_mod_prime
 from .curves_mod_p import (
     BACKENDS,
-    CurveFp,
+    MESTRE_BOUND,
     CurveQ,
     _count_tiny,
     _reduce,
@@ -36,8 +38,10 @@ from .curves_mod_p import (
     count_points_cm_j0,
     count_points_naive,
     ec_mul,
+    first_annihilator,
     grossencharacter_j0,
     reduce_curve,
+    two_division_roots,
 )
 from .eisenstein import (
     EisensteinInt,
@@ -49,17 +53,6 @@ from .eisenstein import (
 )
 
 
-def _even_count(disc: int, r: int) -> bool:
-    """Whether #E(F_r) is known to be even, hence composite, uncounted.
-
-    For a good odd prime r the 2-division polynomial has discriminant
-    16 disc; a non-residue leaves it exactly one root in F_r, so E(F_r)
-    has one point of order 2.  r >= 7 makes #E(F_r) >= r + 1 - 2 sqrt(r)
-    exceed 2 (y^2 = x^3 + 2x has #E(F_5) = 2).
-    """
-    return r >= 7 and pow(disc % r, (r - 1) // 2, r) == r - 1
-
-
 class _Counter:
     """Memoized point counter for one curve and backend.
 
@@ -68,7 +61,8 @@ class _Counter:
     backend once, and holds disc, the discriminant of E, and optionally
     a sieved window: flags[n - lo] marks the primes n of [lo, lo +
     len(flags)), which decide the primality of the images that fall in
-    it.
+    it.  memo[p] is #E(F_p), or 0 where image(p) has only shown that
+    count composite.
     """
 
     def __init__(
@@ -79,18 +73,21 @@ class _Counter:
         self.E = E
         self.backend = backend
         self.disc = E.discriminant()
+        self.A, self.B = E.short_model()
         self.memo: dict[int, int] = {}
         self.lo = lo
         self.hi = lo + len(flags)
         self.flags = flags
-        # Reductions that full_two_torsion has tested, kept for their count.
-        self._tested: dict[int, CurveFp] = {}
+        # Whether image searches above MESTRE_BOUND, where count_points
+        # would take BSGS, instead of counting.
+        self.first_match = backend == "bsgs" or (
+            backend == "auto" and not E.is_mordell()
+        )
 
     def __call__(self, p: int) -> int:
         v = self.memo.get(p)
-        if v is None:
-            Ep = self._tested.pop(p, None) or _reduce(self.E, p)
-            v = count_points(Ep, self.backend)
+        if not v:
+            v = count_points(_reduce(self.E, p), self.backend)
             self.memo[p] = v
         return v
 
@@ -98,35 +95,39 @@ class _Counter:
         """The aliquot step from a good prime p: #E(F_p) when it is
         prime, else 0.
 
-        A memoized count is looked up; otherwise _even_count or
-        full_two_torsion may prove it composite uncounted, and new
-        counts go through self(p).  Primality comes from the window's
-        flags, and from isprime only for a count outside the window.
-        A prime count is returned even where E has bad reduction.
+        A memoized count or verdict is looked up.  Otherwise, for
+        p >= 7, any root of the short model's 2-division cubic is a
+        point of order 2, so that #E(F_p) >= p + 1 - 2 sqrt(p) is even
+        and exceeds 2, hence composite, and the step returns 0 uncounted
+        (y^2 = x^3 + 2x has #E(F_5) = 2).  Above MESTRE_BOUND on the
+        BSGS route, the step then takes first_annihilator's N, which is
+        #E(F_p) when prime and shows it composite otherwise, and
+        memoizes the verdict, N or 0; elsewhere self(p) counts.
+        Primality comes from the window's flags, and from isprime only
+        for a number outside the window.  A prime count is returned
+        even where E has bad reduction.
         """
         q = self.memo.get(p)
         if q is None:
-            if _even_count(self.disc, p) or self.full_two_torsion(p):
+            A, B = self.A % p, self.B % p
+            if p >= 7 and two_division_roots(p, A, B):
                 return 0
+            if self.first_match and p > MESTRE_BOUND:
+                N = self.annihilator(p, A, B)
+                q = self.memo[p] = N if self._prime(N) else 0
+                return q
             q = self(p)
-        if self.lo <= q < self.hi:
-            return q if self.flags[q - self.lo] else 0
-        return q if isprime(q) else 0
+        return q if q and self._prime(q) else 0
 
-    def full_two_torsion(self, p: int) -> bool:
-        """Whether E(F_p) contains all of E[2] = (Z/2)^2, so that 4
-        divides #E(F_p), which is then composite uncounted (p >= 5).
+    def annihilator(self, p: int, A: int, B: int) -> int:
+        """The search of image's BSGS route: first_annihilator, as a
+        method that a test counter can lie through."""
+        return first_annihilator(p, A, B)
 
-        The test after _even_count: the reduction keeps the root count
-        of its 2-division cubic, and the count of p reuses it.
-        """
-        if p < 5:
-            return False
-        Ep = _reduce(self.E, p)
-        if Ep.two_division_roots == 3:
-            return True
-        self._tested[p] = Ep
-        return False
+    def _prime(self, n: int) -> bool:
+        if self.lo <= n < self.hi:
+            return self.flags[n - self.lo] == 1
+        return isprime(n)
 
 
 def next_value(E: CurveQ, p: int, backend: str = "auto") -> int | None:

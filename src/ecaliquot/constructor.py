@@ -98,13 +98,23 @@ def curve_with_order(p: int, N: int) -> CurveFp:
         raise ValueError(f"no curve over F_{p} has {N} points (Hasse)")
 
     if p < 100:
+        # The first (a, b) in lexicographic order, counting one curve of
+        # each class: the twist (a v^2, b v^3) has the same count for a
+        # square v, and 2p + 2 minus it for a non-square v.
+        squares = {v * v % p for v in range(1, p)}
+        counts: dict[tuple[int, int], int] = {}
         for a in range(p):
             for b in range(p):
                 if (4 * a * a * a + 27 * b * b) % p == 0:
                     continue
-                E = CurveFp.short(p, a, b)
-                if count_points_naive(E) == N:
-                    return E
+                n = counts.get((a, b))
+                if n is None:
+                    n = count_points_naive(CurveFp.short(p, a, b))
+                    for v in range(1, p):
+                        key = a * v * v % p, b * v * v * v % p
+                        counts[key] = n if v in squares else 2 * p + 2 - n
+                if n == N:
+                    return CurveFp.short(p, a, b)
         raise ArithmeticError(f"no curve over F_{p} with {N} points")
 
     rng = random.Random(f"cwo:{p}:{N}")

@@ -14,6 +14,8 @@ Three counting backends are provided:
   +-j; one ladder gives the first giant step, and every group operation
   is an inlined affine step.  A point whose order the baby steps
   already reveal constrains the count to the multiples of that order;
+  the parity comes from :func:`two_division_roots`, one Legendre symbol
+  and, when the discriminant is a residue, a Lucas sequence;
 * the CM formula for y^2 = x^3 + k via the sextic residue symbol,
   exposed as :func:`count_points_cm_j0`.
 
@@ -31,6 +33,11 @@ not hold.
 The ``auto`` choice of :func:`count_points` is a property of the curve,
 not of p: the CM formula when the reduction is y^2 = x^3 + k, else
 BSGS (naive up to p = 229 inside it).
+
+A search that needs #E(F_p) only when it is prime asks no backend:
+:func:`first_annihilator` runs the same baby and giant steps on one
+point of E until the first N of the Hasse window with N P = O, which is
+#E(F_p) when N is prime and shows it composite otherwise.
 
 All backends agree wherever their domains overlap, and the test suite
 enforces that.
@@ -60,6 +67,15 @@ def _b_invariants(a1: int, a2: int, a3: int, a4: int, a6: int):
 def _c_invariants(a1: int, a2: int, a3: int, a4: int, a6: int):
     b2, b4, b6, _ = _b_invariants(a1, a2, a3, a4, a6)
     return b2 * b2 - 24 * b4, -b2 ** 3 + 36 * b2 * b4 - 216 * b6
+
+
+def _short_coefficients(a1: int, a2: int, a3: int, a4: int, a6: int):
+    """(A, B) of a short model y^2 = x^3 + Ax + B: (a4, a6) when a1, a2
+    and a3 vanish, else the classical A = -27 c4, B = -54 c6."""
+    if a1 == 0 and a2 == 0 and a3 == 0:
+        return a4, a6
+    c4, c6 = _c_invariants(a1, a2, a3, a4, a6)
+    return -27 * c4, -54 * c6
 
 
 @dataclass(frozen=True)
@@ -116,6 +132,11 @@ class CurveQ:
     def has_good_reduction(self, p: int) -> bool:
         return self.discriminant() % p != 0
 
+    def short_model(self) -> tuple[int, int]:
+        """Integers (A, B) whose reductions mod every p >= 5 are those of
+        CurveFp.short_model: y^2 = x^3 + Ax + B is isomorphic to E there."""
+        return _short_coefficients(self.a1, self.a2, self.a3, self.a4, self.a6)
+
     def is_mordell(self) -> bool:
         return (self.a1, self.a2, self.a3, self.a4) == (0, 0, 0, 0)
 
@@ -166,41 +187,42 @@ class CurveFp:
     def _short_model(self) -> tuple[int, int]:
         if self.p < 5:
             raise ValueError("no short model in characteristic 2 or 3")
-        if self.a1 == 0 and self.a2 == 0 and self.a3 == 0:
-            return self.a4 % self.p, self.a6 % self.p
-        c4, c6 = _c_invariants(self.a1, self.a2, self.a3, self.a4, self.a6)
-        return (-27 * c4) % self.p, (-54 * c6) % self.p
+        A, B = _short_coefficients(self.a1, self.a2, self.a3, self.a4, self.a6)
+        return A % self.p, B % self.p
 
-    @cached_property
-    def two_division_roots(self) -> int:
-        """The roots in F_p of the 2-division cubic x^3 + Ax + B of the
-        short model: 1, 0 or 3, the points of order 2 in E(F_p) (good
-        reduction, p >= 5).
 
-        The cubic has distinct roots, so its discriminant -4A^3 - 27B^2
-        is a non-residue exactly when it has one root.  Otherwise it has
-        0 or 3, and 3 exactly when it divides x^p - x, that is when
-        x^p = x mod the cubic: Schoof's case l = 2.  Computed once per
-        reduction, and kept with it.
-        """
-        p = self.p
-        A, B = self.short_model()
-        if pow(-4 * A * A * A - 27 * B * B, (p - 1) // 2, p) == p - 1:
-            return 1
-        # x^p as c0 + c1 x + c2 x^2, by square-and-multiply from x,
-        # with x^3 = -Ax - B and x^4 = -Ax^2 - Bx.
-        c0, c1, c2 = 0, 1, 0
-        for bit in bin(p)[3:]:
-            t = c1 * c2 % p
-            s = c2 * c2 % p
-            c0, c1, c2 = (
-                (c0 * c0 - 2 * B * t) % p,
-                (2 * c0 * c1 - 2 * A * t - B * s) % p,
-                (c1 * c1 + 2 * c0 * c2 - A * s) % p,
-            )
-            if bit == "1":
-                c0, c1, c2 = -B * c2 % p, (c0 - A * c2) % p, c1
-        return 3 if (c0, c1, c2) == (0, 1, 0) else 0
+def two_division_roots(p: int, A: int, B: int) -> int:
+    """The roots in F_p of the 2-division cubic x^3 + Ax + B of a short
+    model: 1, 0 or 3, the points of order 2 in E(F_p) (good reduction,
+    p >= 5, and A, B reduced mod p).
+
+    The cubic has distinct roots, so its discriminant -4A^3 - 27B^2 is a
+    non-residue exactly when it has one root: Schoof's case l = 2.
+    Otherwise it has 0 or 3, and Cardano tells which.  Its roots are
+    u + v with uv = -A/3, where u^3 and v^3 are the roots z, z' of the
+    resolvent z^2 + Bz - A^3/27; the cubic splits exactly when z is a
+    cube, in F_p when p = 1 (mod 3), else in F_{p^2}, where z' = z^p.
+    As zz' = (-A/3)^3, z is a cube exactly when alpha = z'/z is, that is
+    when alpha^n = 1 for n = (p - 1)/3 or (p + 1)/3, since alpha lies in
+    a cyclic group of order 3n: F_p^* or the kernel of the norm.  With
+    alpha + 1/alpha = P = -27B^2/A^3 - 2, alpha^n + alpha^-n is the
+    Lucas term V_n(P, 1), and alpha^n = 1 exactly when V_n = 2: a ladder
+    of 2 products per bit of n.  For A = 0 the roots are the cube roots
+    of -B.
+    """
+    if pow(-4 * A * A * A - 27 * B * B, (p - 1) // 2, p) == p - 1:
+        return 1
+    n = (p + 1) // 3 if p % 3 == 2 else (p - 1) // 3
+    if A == 0:  # then p = 1 (mod 3), as the discriminant -27B^2 is a residue
+        return 3 if pow(-B, n, p) == 1 else 0
+    P = (-27 * B * B * pow(A * A * A, -1, p) - 2) % p
+    v, w = P, (P * P - 2) % p  # V_k, V_k+1 for k = 1, the top bit of n
+    for bit in bin(n)[3:]:
+        if bit == "1":
+            v, w = (v * w - P) % p, (w * w - 2) % p
+        else:
+            v, w = (v * v - 2) % p, (v * w - P) % p
+    return 3 if v == 2 else 0
 
 
 def reduce_curve(E: CurveQ, p: int) -> CurveFp:
@@ -342,7 +364,9 @@ def _mul(p: int, A: int, n: int, table: list):
     return x, y
 
 
-def _order_candidates(p: int, A: int, P, H: int, parity: int) -> set:
+def _order_candidates(
+    p: int, A: int, P, H: int, parity: int, first: bool = False
+) -> set:
     """All N = parity (mod 2) in [p+1-H, p+1+H] with N P = O, for an
     affine point P on a curve whose count has that parity.
 
@@ -360,6 +384,11 @@ def _order_candidates(p: int, A: int, P, H: int, parity: int) -> set:
     steps (p+1-e)P - iT, i = -c..c, meet the baby table exactly at the
     s with (p+1-e)P = s Q.  One ladder on Q, and for odd N one addition
     of P, give the first, (p + 1 - e + 2cS)P.
+
+    With first, the search returns a nonempty subset of these N: the
+    first that a giant step meets, or all of them when the baby steps
+    reveal ord(Q).  For p >= 37 any one of them is #E if prime, and
+    shows #E composite otherwise (see first_annihilator).
     """
     x, y = P
     if y == 0:  # ord(P) = 2, so the count and every N searched are even
@@ -405,6 +434,8 @@ def _order_candidates(p: int, A: int, P, H: int, parity: int) -> set:
         if R is None:
             if -H <= parity + 2 * iS <= H:
                 found.add(p + 1 - parity - 2 * iS)
+                if first:
+                    return found
             R = xT, yT
             continue
         x, y = R
@@ -413,6 +444,8 @@ def _order_candidates(p: int, A: int, P, H: int, parity: int) -> set:
             t = parity + 2 * (iS + j if y == table[j][1] else iS - j)
             if -H <= t <= H:
                 found.add(p + 1 - t)
+                if first:
+                    return found
         if x == xT:
             R = ec_add(p, A, R, R) if y == yT else None
         else:
@@ -434,7 +467,7 @@ def count_points_bsgs(E: CurveFp) -> int:
     always pin it down, so smaller p are counted naively.
 
     Only counts of the parity of #E are searched: odd when the
-    2-division cubic has no root in F_p (E.two_division_roots), even
+    2-division cubic has no root in F_p (two_division_roots), even
     otherwise.  Every twist shares that parity, since 2p + 2 - N = N
     (mod 2); equally, its cubic's roots are f times those of E's.
     """
@@ -444,7 +477,7 @@ def count_points_bsgs(E: CurveFp) -> int:
     if p <= MESTRE_BOUND:
         return _character_sum(E)
     A, B = E.short_model()
-    parity = 0 if E.two_division_roots else 1
+    parity = 0 if two_division_roots(p, A, B) else 1
     H = isqrt(4 * p)
     cand = None
     tries = 0
@@ -463,6 +496,30 @@ def count_points_bsgs(E: CurveFp) -> int:
     if len(cand) != 1:
         raise RuntimeError(f"group order ambiguous mod {p}")
     return cand.pop()
+
+
+def first_annihilator(p: int, A: int, B: int) -> int:
+    """An N in the Hasse window with N P = O, for a point P of
+    E: y^2 = x^3 + Ax + B over F_p itself: #E(F_p) = N when N is prime,
+    and #E(F_p) is composite otherwise.
+
+    For p >= 37, A and B reduced mod p, and a good E whose 2-division
+    cubic has no root, so that #E(F_p) is odd.  P is (xf, f^2) for the
+    first x whose f = x^3 + Ax + B is a nonzero square, a point of
+    y^2 = x^3 + Af^2 x + Bf^3, which is E again, and the search stops at
+    its first odd N (_order_candidates with first).  If N is prime, then
+    ord(P) = N, and N is the only multiple of N in the window, which is
+    4 sqrt(p) < N wide: #E(F_p) = N.  If N is composite and #E(F_p) were
+    a prime M, then ord(P) = M would divide N, so N = M.  An order that
+    the baby steps reveal lies below the window and divides #E(F_p),
+    which is then composite, as is every N of the set returned for it.
+    """
+    for x in range(p):
+        f = (x * x * x + A * x + B) % p
+        if f and pow(f, (p - 1) // 2, p) == 1:
+            break
+    P = (x * f % p, f * f % p)
+    return _order_candidates(p, A * f * f % p, P, isqrt(4 * p), 1, True).pop()
 
 
 # ---------------------------------------------------------------------------

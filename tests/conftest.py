@@ -20,3 +20,20 @@ class _LyingCounter(_Counter):
 @pytest.fixture
 def lying_counter():
     return _LyingCounter
+
+
+class _LyingSearch(_Counter):
+    """Claims #E(F_251) = 269 and #E(F_269) = 251 on 43a through the
+    first-match search that the walk takes above MESTRE_BOUND (the true
+    counts are 275 and 295).  Both are odd, so no 2-torsion skip keeps
+    the walk or the pair check from searching."""
+
+    LIES = {251: 269, 269: 251}
+
+    def annihilator(self, p, A, B):
+        return self.LIES.get(p) or super().annihilator(p, A, B)
+
+
+@pytest.fixture
+def lying_search():
+    return _LyingSearch

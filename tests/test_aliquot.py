@@ -11,7 +11,6 @@ from ecaliquot import aliquot
 from ecaliquot.aliquot import (
     AliquotCycle,
     _Counter,
-    _even_count,
     _verify_step,
     _walk,
     aliquot_cycles_up_to,
@@ -32,10 +31,12 @@ from ecaliquot.aliquot import (
 )
 from ecaliquot.arith import prime_flags, primes_in_range
 from ecaliquot.curves_mod_p import (
+    MESTRE_BOUND,
     CurveQ,
     count_points,
     count_points_naive,
     reduce_curve,
+    two_division_roots,
 )
 from ecaliquot.eisenstein import Unit6
 
@@ -105,12 +106,25 @@ class TestAmicablePairs:
 
     def test_lying_counter_premises(self, lying_counter):
         # The walk from 41 reaches 53 and returns: neither count is
-        # skipped as even or for full 2-torsion, and each lie lies in
-        # the Hasse window.
-        disc = E2.discriminant()
+        # skipped as even (no root of the 2-division cubic), and each
+        # lie lies in the Hasse window.
         for p, lie in lying_counter.LIES.items():
-            assert not _even_count(disc, p)
-            assert not _Counter(E2).full_two_torsion(p)
+            assert not two_division_roots(p, *reduce_curve(E2, p).short_model())
+            assert (lie - p - 1) ** 2 <= 4 * p
+            assert count_points(reduce_curve(E2, p)) != lie
+
+    def test_lying_search_is_caught(self, monkeypatch, lying_search):
+        monkeypatch.setattr(aliquot, "_Counter", lying_search)
+        with pytest.raises(ArithmeticError, match=r"\(251, 269\)"):
+            amicable_pairs_up_to(E2, 300)
+
+    def test_lying_search_premises(self, lying_search):
+        # Both primes lie above MESTRE_BOUND with odd counts, so the
+        # walk asks the first-match search for them, and each lie is a
+        # prime of the Hasse window.
+        for p, lie in lying_search.LIES.items():
+            assert p > MESTRE_BOUND and isprime(lie)
+            assert not two_division_roots(p, *reduce_curve(E2, p).short_model())
             assert (lie - p - 1) ** 2 <= 4 * p
             assert count_points(reduce_curve(E2, p)) != lie
 
@@ -151,22 +165,27 @@ class TestAliquotCycles:
 
 class TestParitySkip:
     def test_nonresidue_discriminant_forces_even_count(self):
+        # The skip's one Legendre symbol, of the short model's
+        # discriminant, is that of disc: one root exactly at a
+        # non-residue, and then an even count above 2 for p >= 7.
         for E in (E2, E1, TRIPLE_CURVE, MORDELL2, E14):
             disc = E.discriminant()
-            for p in primes_in_range(3, 3001):
+            for p in primes_in_range(5, 3001):
                 if disc % p == 0:
                     continue
                 nonresidue = pow(disc % p, (p - 1) // 2, p) == p - 1
-                assert _even_count(disc, p) == (nonresidue and p >= 7)
+                roots = two_division_roots(p, *reduce_curve(E, p).short_model())
+                assert (roots == 1) == nonresidue, (E, p)
                 if nonresidue:
                     n = count_points_naive(reduce_curve(E, p))
                     assert n % 2 == 0, (E, p)
                     assert p < 7 or n > 2
 
     def test_full_two_torsion_skip_is_exact(self):
-        # At every good p <= 3000 the skip fires exactly when the
-        # discriminant is a residue and 4 divides the count; a residue
-        # without it leaves the count odd.  14a1 has rational 2-torsion.
+        # At every good p <= 3000 the cubic has three roots exactly when
+        # the discriminant is a residue and 4 divides the count; a
+        # residue without them leaves the count odd.  14a1 has rational
+        # 2-torsion.  The step is 0 uncounted wherever there is a root.
         for E in (E2, E14, TRIPLE_CURVE):
             disc = E.discriminant()
             count = _Counter(E)
@@ -175,10 +194,12 @@ class TestParitySkip:
                     continue
                 residue = pow(disc % p, (p - 1) // 2, p) == 1
                 n = count_points_naive(reduce_curve(E, p))
-                skip = count.full_two_torsion(p)
-                assert skip == (residue and n % 4 == 0), (E, p)
-                if residue and not skip:
+                roots = two_division_roots(p, *reduce_curve(E, p).short_model())
+                assert (roots == 3) == (residue and n % 4 == 0), (E, p)
+                if residue and roots == 0:
                     assert n % 2 == 1, (E, p)
+                if roots and p >= 7:
+                    assert count.image(p) == 0 and p not in count.memo, (E, p)
 
     def test_guard_keeps_prime_count_two_at_5(self):
         E = CurveQ.short(2, 0)  # #E(F_5) = 2, and disc is a non-residue mod 5
@@ -189,8 +210,11 @@ class TestParitySkip:
         assert chain_count(E, 2, 5) == 1
 
     def test_walk_stops_uncounted_at_even_image(self):
-        disc = E2.discriminant()
-        p = next(p for p in primes_in_range(7, 1000) if _even_count(disc, p))
+        p = next(
+            p
+            for p in primes_in_range(7, 1000)
+            if two_division_roots(p, *reduce_curve(E2, p).short_model())
+        )
         count = _Counter(E2)
         assert _walk(count, p, 3) == ([p], 0)
         assert count.memo == {}
@@ -198,18 +222,35 @@ class TestParitySkip:
     def test_image_is_the_walk_step(self):
         # image(p) is #E(F_p) when that count is prime and 0 otherwise,
         # with or without a window; [500, 1500) holds some images and
-        # leaves others to isprime.
+        # leaves others to isprime.  auto and bsgs search above
+        # MESTRE_BOUND, naive counts.
         for E in (E2, E14, TRIPLE_CURVE):
-            for lo, hi in ((0, 0), (2, 2200), (500, 1500)):
-                flags = prime_flags(lo, hi) if hi else b""
-                count = _Counter(E, "auto", lo, flags)
-                for p in primes_in_range(5, 2001):
-                    if count.disc % p == 0:
-                        continue
+            steps = {}
+            for p in primes_in_range(5, 2001):
+                if E.discriminant() % p:
                     n = count_points_naive(reduce_curve(E, p))
-                    want = n if isprime(n) else 0
-                    assert count.image(p) == want, (E, p)
-                    assert count.image(p) == want, (E, p)  # memo or skip again
+                    steps[p] = n if isprime(n) else 0
+            for backend in ("auto", "bsgs", "naive"):
+                for lo, hi in ((0, 0), (2, 2200), (500, 1500)):
+                    flags = prime_flags(lo, hi) if hi else b""
+                    count = _Counter(E, backend, lo, flags)
+                    for p, want in steps.items():
+                        assert count.image(p) == want, (E, p, backend)
+                        # memo or skip again
+                        assert count.image(p) == want, (E, p, backend)
+
+    def test_memoized_verdict_leaves_counts_exact(self):
+        # A search verdict of 0 is memoized, and a later exact count
+        # still counts: __call__ never returns it.
+        count = _Counter(E2, "bsgs")
+        for p in primes_in_range(MESTRE_BOUND + 1, 2001):
+            if count.disc % p == 0:
+                continue
+            step = count.image(p)
+            n = count_points_naive(reduce_curve(E2, p))
+            assert count.memo.get(p, step) == step
+            assert count(p) == n and count.memo[p] == n
+            assert count.image(p) == step
 
     def test_window_edges_agree_with_isprime(self, monkeypatch):
         # Windows [lo, hi) that start at, just below and just above the

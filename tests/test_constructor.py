@@ -1,9 +1,12 @@
 """Prime windows, local curve realization, and CRT gluing."""
 
+from math import isqrt
+
 import pytest
 from sympy import isprime, nextprime
 
 from ecaliquot.aliquot import AliquotCycle, aliquot_cycles_up_to, verify_cycle
+from ecaliquot.arith import primes_in_range
 from ecaliquot.constructor import (
     PrimeWindow,
     build_cycle_curve,
@@ -63,6 +66,24 @@ class TestCurveWithOrder:
     def test_anomalous_order(self):
         E = curve_with_order(5, 5)
         assert count_points_naive(E) == 5
+
+    def test_small_primes_match_the_literal_scan(self):
+        # For every 5 <= p < 100 and every N of the Hasse window: the
+        # first (a, b) in lexicographic order whose naive count is N.
+        for p in primes_in_range(5, 100):
+            first = {}
+            for a in range(p):
+                for b in range(p):
+                    if (4 * a**3 + 27 * b * b) % p:
+                        n = count_points_naive(CurveFp.short(p, a, b))
+                        first.setdefault(n, (a, b))
+            for N in range(p + 1 - isqrt(4 * p), p + 2 + isqrt(4 * p)):
+                if N in first:
+                    E = curve_with_order(p, N)
+                    assert (E.a4, E.a6) == first[N], (p, N)
+                else:
+                    with pytest.raises(ArithmeticError):
+                        curve_with_order(p, N)
 
     def test_larger_prime_randomized(self):
         E = curve_with_order(1009, 1009 + 1 + 40)

@@ -6,7 +6,7 @@ from math import isqrt
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from sympy import isprime, nextprime, randprime
+from sympy import Poly, isprime, nextprime, randprime, symbols
 
 from ecaliquot import curves_mod_p
 from ecaliquot.arith import prime_flags, primes_in_range, sqrt_mod_prime
@@ -22,10 +22,12 @@ from ecaliquot.curves_mod_p import (
     count_points_naive,
     ec_add,
     ec_mul,
+    first_annihilator,
     grossencharacter_j0,
     reduce_curve,
     torsion_obstruction,
     trace_a_p,
+    two_division_roots,
 )
 from ecaliquot.eisenstein import EisensteinInt
 
@@ -166,23 +168,59 @@ class TestBsgs:
 
     @pytest.mark.parametrize(
         "E",
-        [E2, CurveQ(1, 0, 1, 4, -6), CurveQ.short(-25, -8)],
-        ids=["43a", "14a1", "x3-25x-8"],
+        [E2, CurveQ(1, 0, 1, 4, -6), CurveQ.short(-25, -8), MORDELL2],
+        ids=["43a", "14a1", "x3-25x-8", "x3+2"],
     )
     def test_exhaustive_to_3000(self, E):
         # Every good p <= 3000: the roots of the 2-division cubic against
         # enumeration, and above Mestre's bound the BSGS count, which
         # searches one parity, against the naive one.  14a1 has rational
-        # 2-torsion, so its search is over even counts only.
+        # 2-torsion, so its search is over even counts only; y^2 = x^3 + 2
+        # takes the root count's A = 0 branch, and its counts are even at
+        # every p = 2 (mod 3).
         for p in primes_in_range(5, 3001):
             if not E.has_good_reduction(p):
                 continue
             Ep = reduce_curve(E, p)
             A, B = Ep.short_model()
             roots = sum((x * x * x + A * x + B) % p == 0 for x in range(p))
-            assert Ep.two_division_roots == roots, p
+            assert two_division_roots(p, A, B) == roots, p
             if p > MESTRE_BOUND:
                 assert count_points_bsgs(Ep) == count_points_naive(Ep), p
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(4, 10**9).map(lambda n: int(nextprime(n))),
+        st.integers(0, 10**9),
+        st.integers(0, 10**9),
+        st.booleans(),
+    )
+    def test_root_count_matches_factorization(self, p, a, b, mordell):
+        # The Legendre symbol and the Lucas ladder against sympy's
+        # factorization of the cubic mod primes up to 10^9; half the
+        # examples take A = 0.
+        A, B = (0 if mordell else a % p), b % p
+        assume((4 * A**3 + 27 * B * B) % p)
+        x = symbols("x")
+        factors = Poly(x**3 + A * x + B, x, modulus=p).factor_list()[1]
+        roots = sum(e for f, e in factors if f.degree() == 1)
+        assert two_division_roots(p, A, B) == roots
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        st.sampled_from(primes_in_range(MESTRE_BOUND + 1, 20_000)),
+        st.integers(0, 19_999),
+        st.integers(0, 19_999),
+    )
+    def test_first_annihilator_decides_primality(self, p, a, b):
+        # Wherever the count is odd, the first match N is the count when
+        # N is prime, and a composite N means a composite count.
+        E = CurveFp.short(p, a, b)
+        assume(E.good and not two_division_roots(p, a % p, b % p))
+        N = first_annihilator(p, a % p, b % p)
+        n = count_points_naive(E)
+        assert (N - p - 1) ** 2 <= 4 * p
+        assert (N if isprime(N) else 0) == (n if isprime(n) else 0)
 
     @settings(max_examples=80, deadline=None)
     @given(
@@ -222,13 +260,17 @@ class TestOrderCandidates:
         # The exact set {N in the Hasse window : N P = O, N = #E (mod 2)},
         # with N P stepped through the window by the generic group law,
         # on each curve and on its quadratic twist by a non-residue u.
+        # On the curve itself, the first-match search returns a subset
+        # whose every N gives the walk's step: #E(F_p) if prime, else 0.
         H = isqrt(4 * p)
         lo = p + 1 - H
         u = next(u for u in range(2, p) if pow(u, (p - 1) // 2, p) == p - 1)
         for E in CANDIDATE_CURVES:
             Ep = reduce_curve(E, p)
             assert Ep.good
-            parity = count_points_naive(Ep) % 2
+            n = count_points_naive(Ep)
+            parity = n % 2
+            step = n if isprime(n) else 0
             a, b = Ep.short_model()
             for A, B in ((a, b), (a * u * u % p, b * u * u * u % p)):
                 for P in _affine_points(p, A, B):
@@ -240,6 +282,12 @@ class TestOrderCandidates:
                         R = ec_add(p, A, R, P)
                     got = _order_candidates(p, A, P, H, parity)
                     assert got == want, (E, p, A, B, P)
+                    if (A, B) == (a, b):
+                        # Any N of the first match decides the step.
+                        first = _order_candidates(p, A, P, H, parity, True)
+                        assert first and first <= want, (E, p, P)
+                        for N in first:
+                            assert (N if isprime(N) else 0) == step, (E, p, P)
 
 
 class TestCmBackend:

@@ -15,7 +15,6 @@ from sympy import isprime
 import ecaliquot
 from ecaliquot import aliquot, curves_mod_p, harness
 from ecaliquot.aliquot import (
-    _even_count,
     aliquot_cycles_up_to,
     amicable_pairs_up_to,
     chain_count,
@@ -28,6 +27,7 @@ from ecaliquot.curves_mod_p import (
     count_points,
     grossencharacter_j0,
     reduce_curve,
+    two_division_roots,
 )
 from ecaliquot.harness import (
     REFERENCE_CURVE,
@@ -216,15 +216,15 @@ class TestCmSweep:
         # members of the reported pairs, as verify_cycle checks them.
         tested, primality = [], []
 
-        def recording(disc, r):
+        def recording(r, A, B):
             tested.append(r)
-            return _even_count(disc, r)
+            return two_division_roots(r, A, B)
 
         def recording_isprime(n):
             primality.append(n)
             return isprime(n)
 
-        monkeypatch.setattr(aliquot, "_even_count", recording)
+        monkeypatch.setattr(aliquot, "two_division_roots", recording)
         monkeypatch.setattr(aliquot, "isprime", recording_isprime)
         X = 10**5
         report = run_pair_sweep(ExperimentConfig(k=7, x_bound=X, backend="cm"))
@@ -391,25 +391,39 @@ class TestSweepAgainstSerialSearch:
             assert amicable_pairs_up_to(E, 5_000, backend) == want["pairs"]
 
     def test_sweep_never_counts_an_even_image(self, monkeypatch):
-        counted = []
-
+        # Neither the exact counts (p <= MESTRE_BOUND) nor the searches
+        # above it reach a prime whose 2-division cubic has a root.
         class Recording(harness._Counter):
             def __call__(self, p):
                 counted.append(p)
                 return super().__call__(p)
 
+            def annihilator(self, p, A, B):
+                searched.append(p)
+                return super().annihilator(p, A, B)
+
+        counted, searched = [], []
         monkeypatch.setattr(harness, "_Counter", Recording)
         report = run_pair_sweep(
             ExperimentConfig(curve=REFERENCE_CURVE, x_bound=5_000, lengths=(3,))
         )
         assert report.pairs == ((853, 883),)
-        disc = REFERENCE_CURVE.discriminant()
-        assert counted and not any(_even_count(disc, r) for r in counted)
+        assert counted and searched
+        for r in counted + searched:
+            if r >= 7:
+                A, B = reduce_curve(REFERENCE_CURVE, r).short_model()
+                assert two_division_roots(r, A, B) == 0, r
 
     def test_lying_counter_is_caught(self, monkeypatch, lying_counter):
         monkeypatch.setattr(harness, "_Counter", lying_counter)
         cfg = ExperimentConfig(curve=REFERENCE_CURVE, x_bound=100)
         with pytest.raises(ArithmeticError, match=r"\(41, 53\)"):
+            run_pair_sweep(cfg)
+
+    def test_lying_search_is_caught(self, monkeypatch, lying_search):
+        monkeypatch.setattr(harness, "_Counter", lying_search)
+        cfg = ExperimentConfig(curve=REFERENCE_CURVE, x_bound=300)
+        with pytest.raises(ArithmeticError, match=r"\(251, 269\)"):
             run_pair_sweep(cfg)
 
     def test_prime_image_count_matches_direct_loop(self):
