@@ -7,9 +7,13 @@ possible values of #E(F_q) given #E(F_p) = q collapse to two, and for
 j = 0 the sextic residue symbol decides between them; the helpers at
 the bottom of the module implement those dichotomies exactly.
 
+Every census, search or sweep, steps over the same segments: for each
+segment [lo, hi) of its primes, _Counter.segment sieves the window that
+holds every image of the segment once, and builds the counter on it.
 Every search folds over one walk, whose step _Counter.image returns
 only what a cycle needs: a prime image, or 0.  Its primality comes from
-a sieved window when the caller holds one, as a sweep does.  One test
+the window's flags, and from isprime only for images beyond them; on
+y^2 = x^3 + k the CM formula counts the whole window at once.  One test
 of the 2-torsion of E(F_p) stops the walk without counting: any root
 of the 2-division cubic in F_p is a point of order 2, so #E(F_p) is
 even and, for p >= 7, composite.  One Legendre symbol tells one root
@@ -26,14 +30,18 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from itertools import compress
+from math import isqrt
 
-from .arith import factorint, isprime, primes_in_range, sqrt_mod_prime
+from .arith import factorint, isprime, prime_flags, sqrt_mod_prime
+from .arith import primes_in_range  # noqa: F401  (perfbench patches it)
 from .curves_mod_p import (
     BACKENDS,
     MESTRE_BOUND,
     CurveQ,
     _count_tiny,
     _reduce,
+    cm_j0_counts,
     count_points,
     count_points_cm_j0,
     count_points_naive,
@@ -52,6 +60,8 @@ from .eisenstein import (
     sextic_symbol,
 )
 
+SEGMENT_SIZE = 1 << 16  # the width of a census segment, a sweep's default
+
 
 class _Counter:
     """Memoized point counter for one curve and backend.
@@ -62,7 +72,8 @@ class _Counter:
     a sieved window: flags[n - lo] marks the primes n of [lo, lo +
     len(flags)), which decide the primality of the images that fall in
     it.  memo[p] is #E(F_p), or 0 where image(p) has only shown that
-    count composite.
+    count composite.  Where count_points takes the CM formula, the memo
+    starts with the count at every good prime of the window.
     """
 
     def __init__(
@@ -74,15 +85,25 @@ class _Counter:
         self.backend = backend
         self.disc = E.discriminant()
         self.A, self.B = E.short_model()
-        self.memo: dict[int, int] = {}
+        cm = backend in ("cm", "auto") and E.is_mordell()
+        self.memo: dict[int, int] = cm_j0_counts(E.a6, lo, flags) if cm and flags else {}
         self.lo = lo
         self.hi = lo + len(flags)
         self.flags = flags
         # Whether image searches above MESTRE_BOUND, where count_points
         # would take BSGS, instead of counting.
-        self.first_match = backend == "bsgs" or (
-            backend == "auto" and not E.is_mordell()
-        )
+        self.first_match = backend == "bsgs" or (backend == "auto" and not cm)
+
+    @classmethod
+    def segment(cls, E: CurveQ, backend: str, lo: int, hi: int):
+        """The counter of the segment [lo, hi), and its good primes, from
+        one sieve of the window [lo - 2 sqrt(lo) - 2, hi + 2 sqrt(hi) + 3),
+        which holds every image of a p in [lo, hi) by the Hasse bound."""
+        wlo = max(2, lo - 2 * isqrt(lo) - 2)
+        flags = prime_flags(wlo, hi + 2 * isqrt(hi) + 3)
+        count = cls(E, backend, wlo, flags)
+        primes = compress(range(lo, hi), flags[lo - wlo : hi - wlo])
+        return count, (p for p in primes if count.disc % p)
 
     def __call__(self, p: int) -> int:
         v = self.memo.get(p)
@@ -238,18 +259,34 @@ def _walk(
     return walk, None
 
 
-def _closed_walks(E: CurveQ, length: int, lo: int, X: int, backend: str):
-    """Walks from good p in [lo, X] that return to p after length primes.
+def _segment_grid(x_bound: int, segment_size: int) -> list[tuple[int, int]]:
+    """The fixed [lo, hi) grid covering [2, x_bound]."""
+    return [
+        (lo, min(lo + segment_size, x_bound + 1))
+        for lo in range(2, x_bound + 1, segment_size)
+    ]
+
+
+def _census(E: CurveQ, backend: str, X: int):
+    """(count, p) for each good prime p <= X, where count is the counter
+    of p's segment of _segment_grid(X, SEGMENT_SIZE)."""
+    if backend not in BACKENDS:  # also where X < 2 builds no counter
+        raise ValueError(f"backend must be one of {BACKENDS}")
+    for lo, hi in _segment_grid(X, SEGMENT_SIZE):
+        count, primes = _Counter.segment(E, backend, lo, hi)
+        yield from ((count, p) for p in primes)
+
+
+def _closed_walks(E: CurveQ, length: int, X: int, backend: str):
+    """Walks from good p <= X that return to p after length primes.
 
     The floor p prunes each walk at its first image below p, so every
     closed walk is found once, from its smallest prime.
     """
-    count = _Counter(E, backend)
-    for p in primes_in_range(lo, X + 1):
-        if count.disc % p:
-            walk, stop = _walk(count, p, length + 1, floor=p)
-            if stop == p and len(walk) == length:
-                yield tuple(walk)
+    for count, p in _census(E, backend, X):
+        walk, stop = _walk(count, p, length + 1, floor=p)
+        if stop == p and len(walk) == length:
+            yield tuple(walk)
 
 
 def aliquot_cycles_up_to(
@@ -264,7 +301,7 @@ def aliquot_cycles_up_to(
         raise ValueError("length must be >= 1")
     return [
         AliquotCycle(_verified(E, primes))
-        for primes in _closed_walks(E, length, 2, X, backend)
+        for primes in _closed_walks(E, length, X, backend)
     ]
 
 
@@ -276,7 +313,8 @@ def amicable_pairs_up_to(
     Both primes must be >= 5 and of good reduction; q itself may
     exceed X.  Every pair is re-verified like a cycle.
     """
-    return [_verified(E, pq) for pq in _closed_walks(E, 2, 5, X, backend)]
+    pairs = _closed_walks(E, 2, X, backend)
+    return [_verified(E, pq) for pq in pairs if pq[0] >= 5]
 
 
 def chain_count(E: CurveQ, length: int, X: int, backend: str = "auto") -> int:
@@ -288,11 +326,9 @@ def chain_count(E: CurveQ, length: int, X: int, backend: str = "auto") -> int:
     """
     if length < 1:
         raise ValueError("length must be >= 1")
-    count = _Counter(E, backend)
     return sum(
         len(_walk(count, p, length)[0]) == length
-        for p in primes_in_range(2, X + 1)
-        if count.disc % p
+        for count, p in _census(E, backend, X)
     )
 
 
@@ -322,8 +358,6 @@ def candidate_traces_j0(p: int, q: int) -> tuple[int, tuple[int, ...]]:
     if num < 0 or num % 3 != 0:
         raise ValueError(f"({p}, {q}) is not a j = 0 aliquot step")
     a2 = num // 3
-    from math import isqrt
-
     A = isqrt(a2)
     if A * A != a2:
         raise ValueError(f"({p}, {q}) is not a j = 0 aliquot step")

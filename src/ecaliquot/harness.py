@@ -20,22 +20,19 @@ import json
 import math
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import compress
 from pathlib import Path
 
-from .aliquot import _Counter, _verified, _walk
+from .aliquot import SEGMENT_SIZE, _Counter, _segment_grid, _verified, _walk
 # Unused since sweeps tally type 1 by the trace route; perfbench/spans.py
 # patches it.
 from .aliquot import classify_type1  # noqa: F401
 # Unused since sweeps step through aliquot._walk and take their primes
 # from the window sieve; perfbench/spans.py patches both.
 from .arith import isprime, primes_in_range  # noqa: F401
-from .arith import prime_flags
 from .cm_density import predict
-from .curves_mod_p import BACKENDS, CurveQ, cm_j0_counts
+from .curves_mod_p import BACKENDS, CurveQ
 
 FORMATS = ("csv", "json")
 
@@ -119,7 +116,7 @@ class ExperimentConfig:
     backend: str = "auto"
     workers: int = 1
     checkpoint: str | None = None
-    segment_size: int = 1 << 16
+    segment_size: int = SEGMENT_SIZE
 
     def __post_init__(self) -> None:
         if (self.curve is None) == (self.k is None):
@@ -208,27 +205,19 @@ class SweepReport:
 def _sweep_segment(task: tuple) -> dict:
     """Tally one prime segment [lo, hi); returns a JSON-ready record.
 
-    One sieve of the window [lo - 2 sqrt(lo) - 2, hi + 2 sqrt(hi) + 3),
-    which holds every image q = #E(F_p) of a p in [lo, hi) by the Hasse
-    bound, gives the segment's primes, and the counter holds its flags,
-    so counter.image tests a prime image by lookup; only steps whose
-    image lies beyond the window reach isprime.  On y^2 = x^3 + k under
-    the cm or auto backend (the curves count_points sends to the CM
-    formula), cm_j0_counts also fills the counter's memo at every good
-    prime of the window: a split prime from its primary in Z[w], an
-    inert one with its supersingular p + 1.  There only chain steps
-    beyond the window count one prime at a time.  A pair is a walk back
-    to p in two steps, so the pair check's step is counter.image too.
-    A prime p of N_k is type 1 iff a_q = q + 1 - #E(F_q) is
-    +-(q + 1 - p): classify_type1's trace route alone.
+    _Counter.segment, the step of every census, gives the segment's good
+    primes and a counter on the sieved window that holds all their
+    images, so counter.image tests a prime image by lookup; only steps
+    whose image lies beyond the window reach isprime.  On y^2 = x^3 + k
+    under the cm or auto backend, the counter's memo starts with the
+    count at every good prime of the window, so only chain steps beyond
+    it count one prime at a time.  A pair is a walk back to p in two
+    steps, so the pair check's step is counter.image too.  A prime p of
+    N_k is type 1 iff a_q = q + 1 - #E(F_q) is +-(q + 1 - p):
+    classify_type1's trace route alone.
     """
     E, lo, hi, k, lengths, backend = task
-    wlo = max(2, lo - 2 * math.isqrt(lo) - 2)
-    flags = prime_flags(wlo, hi + 2 * math.isqrt(hi) + 3)
-    counter = _Counter(E, backend, wlo, flags)
-    if E.is_mordell() and backend in ("cm", "auto"):
-        counter.memo.update(cm_j0_counts(E.a6, wlo, flags))
-    primes = compress(range(lo, hi), flags[lo - wlo : hi - wlo])
+    counter, primes = _Counter.segment(E, backend, lo, hi)
     depth = max((*lengths, 2))
     chains = dict.fromkeys((str(L) for L in lengths), 0)
     record = {
@@ -241,8 +230,6 @@ def _sweep_segment(task: tuple) -> dict:
         "chains": chains,
     }
     for p in primes:
-        if counter.disc % p == 0:
-            continue
         walk, stop = _walk(counter, p, depth)
         for L in lengths:
             if len(walk) >= L:
@@ -263,14 +250,6 @@ def _sweep_segment(task: tuple) -> dict:
             if q + 1 - counter(q) in (q + 1 - p, p - q - 1):
                 record["n_type1"] += 1
     return record
-
-
-def _segment_grid(x_bound: int, segment_size: int) -> list[tuple[int, int]]:
-    """The fixed [lo, hi) grid covering [2, x_bound]."""
-    return [
-        (lo, min(lo + segment_size, x_bound + 1))
-        for lo in range(2, x_bound + 1, segment_size)
-    ]
 
 
 # ---------------------------------------------------------------------------
@@ -394,6 +373,8 @@ def run_pair_sweep(cfg: ExperimentConfig) -> SweepReport:
             for record in map(_sweep_segment, tasks):
                 note(record)
         else:
+            from concurrent.futures import ProcessPoolExecutor
+
             with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
                 for record in pool.map(_sweep_segment, tasks):
                     note(record)
@@ -564,6 +545,8 @@ def run_growth_table(
     largest one."""
     if not cutoffs:
         raise ValueError("at least one cutoff is required")
+    if min(cutoffs) < 5:
+        raise ValueError("x_bound must be >= 5")
     cutoffs = sorted(set(cutoffs))
     report = run_pair_sweep(
         ExperimentConfig(

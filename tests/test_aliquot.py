@@ -300,7 +300,49 @@ class TestBackendCheck:
         with pytest.raises(ValueError, match="backend"):
             amicable_pairs_up_to(E2, 4, backend="bogus")
         with pytest.raises(ValueError, match="backend"):
+            aliquot_cycles_up_to(E2, 2, 1, backend="bogus")
+        with pytest.raises(ValueError, match="backend"):
             next_value(E2, 5, backend="bogus")
+
+
+class TestCensusSegments:
+    @pytest.mark.parametrize(
+        "E, backend, beyond",
+        [(CurveQ.mordell(7), "cm", False), (E2, "auto", True)],
+        ids=["k7", "43a"],
+    )
+    def test_isprime_sees_only_images_beyond_the_window(
+        self, monkeypatch, E, backend, beyond
+    ):
+        # A search's counter holds the sieved window of its segment, so
+        # outside verify_cycle isprime is asked only about images at or
+        # above the end of the newest counter's window (on 43a some
+        # walks leave it, on y^2 = x^3 + 7 none does).
+        ends, tested = [], []
+
+        class Recording(_Counter):
+            def __init__(self, *args):
+                super().__init__(*args)
+                ends.append(self.hi)
+
+        def recording(n):
+            tested.append((n, ends[-1]))
+            return isprime(n)
+
+        def unrecorded_verify(E, primes):
+            kept = len(tested)
+            ok = verify_cycle(E, primes)
+            del tested[kept:]
+            return ok
+
+        monkeypatch.setattr(aliquot, "_Counter", Recording)
+        monkeypatch.setattr(aliquot, "isprime", recording)
+        monkeypatch.setattr(aliquot, "verify_cycle", unrecorded_verify)
+        X = 5 * 10**4
+        found = [aliquot_cycles_up_to(E, L, X, backend) for L in (1, 2, 3)]
+        found.append(amicable_pairs_up_to(E, X, backend))
+        assert any(found) and bool(tested) == beyond
+        assert all(n >= end for n, end in tested), tested
 
 
 class TestPrimeOrderCertificate:

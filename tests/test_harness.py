@@ -345,11 +345,17 @@ class TestSweepAgainstSerialSearch:
         assert report.pairs == ((853, 883),)
 
     def test_chain_counts_match_direct_search(self):
+        # The search's segments, of the default size from 2, meet at
+        # 65,538 (just above the prime 65,537); the sweep's grid of
+        # 1 << 10 has other edges.
+        X = 70_000
         report = run_pair_sweep(
-            ExperimentConfig(curve=E1, x_bound=4_000, lengths=(2, 3))
+            ExperimentConfig(
+                curve=E1, x_bound=X, lengths=(1, 2, 3), segment_size=1 << 10
+            )
         )
-        assert report.chain_count(2) == chain_count(E1, 2, 4_000)
-        assert report.chain_count(3) == chain_count(E1, 3, 4_000)
+        for L in (1, 2, 3):
+            assert report.chain_count(L) == chain_count(E1, L, X)
 
     def test_literal_walk_reference(self):
         want = _literal_walks(REFERENCE_CURVE, 5_000, "auto")
@@ -663,6 +669,17 @@ class TestGrowthTable:
     def test_requires_a_cutoff(self):
         with pytest.raises(ValueError):
             run_growth_table(REFERENCE_CURVE, [])
+
+    @pytest.mark.parametrize("cutoffs", [[100, 0], [4], [-7, 10_000]])
+    def test_cutoffs_below_5_are_refused(self, cutoffs):
+        with pytest.raises(ValueError, match="x_bound must be >= 5"):
+            run_growth_table(REFERENCE_CURVE, cutoffs)
+        result = CliRunner().invoke(
+            main, ["growth", "--k", "2", "--cutoffs", ",".join(map(str, cutoffs))]
+        )
+        assert result.exit_code == 1
+        assert result.stdout == ""
+        assert "x_bound must be >= 5" in result.stderr
 
 
 class TestEmission:
