@@ -210,6 +210,21 @@ class TestCountByConvolution:
                     s = _pair_pow((a, b), (r * r - 1) // 6, r)
                     assert table[a * r + b] == units[s]
 
+    @pytest.mark.parametrize(
+        "r", [r for r in range(5, 100) if r % 3 == 1 and isprime(r)]
+    )
+    def test_split_table_is_the_sum_over_both_ideals(self, r):
+        pair = ideals_above(r)
+        table = _sextic_exponent_table(r)
+        for a in range(r):
+            for b in range(r):
+                lam = EisensteinInt(a, b)
+                if any(K.reduce(lam) == 0 for K in pair):
+                    assert table[a * r + b] == NON_UNIT
+                else:
+                    want = sum(sextic_symbol(lam, K).exp for K in pair) % 6
+                    assert table[a * r + b] == want
+
 
 class TestClosedForms:
     @pytest.mark.parametrize("k", [p for p in range(5, 98) if isprime(p)])
