@@ -517,6 +517,8 @@ def iterate_type_map(
     """
     if kind not in ("L", "N"):
         raise ValueError("kind must be 'L' or 'N'")
+    if max_steps < 1:
+        raise ValueError("max_steps must be >= 1")
     step = type_l_step if kind == "L" else type_n_step
     seen: dict[int, int] = {}
     orbit: list[int] = []

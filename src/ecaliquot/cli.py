@@ -390,6 +390,8 @@ def c6check(norm_bound, out_format):
     classes, the closed-form count must equal direct enumeration;
     a single mismatch exits with status 2.
     """
+    if norm_bound < 7:
+        raise ValueError("--norm-bound must be >= 7, the least norm checked")
     rows = []
     bad = 0
     zetas = [Unit6(e) for e in range(6)]

@@ -26,6 +26,7 @@ are implemented and must agree.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -36,9 +37,8 @@ from .eisenstein import (
     EisensteinInt,
     PrimeIdealK,
     Unit6,
-    _pair_mul,
+    _coerce,
     _pair_pow,
-    _split_unit_table,
     ideals_above,
     sextic_symbol,
 )
@@ -72,16 +72,58 @@ def _in_m(case: str, e6: int) -> bool:
     return True  # case d: all of O-sharp
 
 
-def _field_generator(r: int) -> tuple[int, int]:
-    """The first a + b*w (in scan order) generating F_{r^2}^* = Z[w]/r,
-    for an inert prime r."""
-    order = r * r - 1
+def _field_logs(K: PrimeIdealK):
+    """Discrete logs in the residue field F = Z[w]/K, from one walk over
+    the powers g^j of the first generator g of F^* in K.reduce's order.
+
+    Returns (index, log, zech, s): index(a, b) numbers the element
+    a + b*w mod K, log[i] is the log of element i (-1 at 0),
+    zech[j] = log(1 - g^j), and (g/K)_6 = w^s, so that every sextic
+    symbol is (x/K)_6 = w^(s * log[x]) (Ireland and Rosen, ch. 9).
+    """
+    n = K.residue_norm
+    order = n - 1
     cofactors = [order // q for q in factorint(order)]
-    for a in range(r):
-        for b in range(1, r):
-            if all(_pair_pow((a, b), c, r) != (1, 0) for c in cofactors):
-                return a, b
-    raise ArithmeticError(f"Z[w]/{r} is not a field")
+    if K.kind == "split":
+        w0 = K.omega_residue()
+
+        def index(a: int, b: int) -> int:
+            return (a + b * w0) % n
+
+        g = next(
+            x for x in range(2, n) if all(pow(x, c, n) != 1 for c in cofactors)
+        )
+        log = [-1] * n
+        complements = [0] * order
+        x = 1
+        for j in range(order):
+            log[x] = j
+            complements[j] = (1 - x) % n
+            x = x * g % n
+    else:
+        k = K.generator.a
+
+        def index(a: int, b: int) -> int:
+            return a % k * k + b % k
+
+        # b = 0 spans only F_k^*, so no generator has it.
+        a, b = next(
+            (a, b)
+            for a in range(k)
+            for b in range(1, k)
+            if all(_pair_pow((a, b), c, k) != (1, 0) for c in cofactors)
+        )
+        log = [-1] * n
+        complements = [0] * order
+        x, y = 1, 0
+        for j in range(order):
+            log[x * k + y] = j
+            complements[j] = (1 - x) % k * k + -y % k
+            x, y = (x * a - y * b) % k, (x * b + y * a + y * b) % k
+    zech = [log[i] for i in complements]
+    # w = g^(s * order / 6), as g^(order / 6) = w^s with s = +-1 mod 6.
+    s = 6 * log[index(0, 1)] // order
+    return index, log, zech, s
 
 
 @lru_cache(maxsize=128)
@@ -91,44 +133,12 @@ def _sextic_exponent_table(r: int) -> bytes:
     NON_UNIT sentinel.  Indexed by a * r + b."""
     if r < 5 or r % 3 == 0:
         raise ValueError("residue tables require a prime r >= 5, r != 3")
-    table = bytearray([NON_UNIT]) * (r * r)
-    if r % 3 == 1:
-        pair = ideals_above(r)
-        data = []
-        for ideal in pair:
-            w0 = ideal.omega_residue()
-            g = ideal.generator
-            unit_table = _split_unit_table(g.a, g.b, r)
-            data.append((w0, unit_table))
-        for a in range(r):
-            for b in range(r):
-                total = 0
-                for w0, unit_table in data:
-                    x = (a + b * w0) % r
-                    if x == 0:
-                        total = NON_UNIT
-                        break
-                    total += unit_table[pow(x, (r - 1) // 6, r)]
-                if total != NON_UNIT:
-                    table[a * r + b] = total % 6
-    else:
-        units = {}
-        for e in range(6):
-            u = EisensteinInt(0, 1) ** e
-            units[(u.a % r, u.b % r)] = e
-        # The symbol is a character of the cyclic group F_{r^2}^*, so
-        # walking the powers g^i of a generator g gives every exponent
-        # as i * e(g): one multiplication per residue, no pow.
-        order = r * r - 1
-        a, b = _field_generator(r)
-        step = units[_pair_pow((a, b), order // 6, r)]
-        x, y = 1, 0
-        e6 = 0
-        for _ in range(order):
-            table[x * r + y] = e6
-            x, y = (x * a - y * b) % r, (x * b + y * a + y * b) % r
-            e6 = (e6 + step) % 6
-    return bytes(table)
+    exps = []
+    for K in ideals_above(r):
+        index, log, _, s = _field_logs(K)
+        # negative exactly where the residue is 0 mod K
+        exps.append([s * log[index(a, b)] for a in range(r) for b in range(r)])
+    return bytes(NON_UNIT if min(e) < 0 else sum(e) % 6 for e in zip(*exps))
 
 
 def _residue_scan(k: int):
@@ -296,36 +306,17 @@ def predicted_density(k: int) -> Fraction:
 # Per-ideal class counts and the genus-4 curve C6
 
 def _field_elements(K: PrimeIdealK):
-    """All elements of the residue field besides 0 and 1, with their
-    sextic exponent and that of their complement 1 - x."""
-    if K.kind == "split":
-        p = K.residue_norm
-        g = K.generator
-        unit_table = _split_unit_table(g.a, g.b, p)
-        exp = [0] * p
-        for x in range(1, p):
-            exp[x] = unit_table[pow(x, (p - 1) // 6, p)]
-        for x in range(2, p):
-            yield exp[x], exp[(1 - x) % p]
-    else:
-        k = K.generator.a
-        table = _sextic_exponent_table(k)
-        for a in range(k):
-            for b in range(k):
-                if (a, b) in ((0, 0), (1, 0)):
-                    continue
-                yield table[a * k + b], table[((1 - a) % k) * k + (-b) % k]
+    """All elements x = g^j of the residue field besides 0 and 1, as the
+    sextic exponents of x and of its complement 1 - x."""
+    _, _, zech, s = _field_logs(K)
+    return ((s * j % 6, s * zech[j] % 6) for j in range(1, len(zech)))
 
 
 @lru_cache(maxsize=512)
 def _m_K1_table(K: PrimeIdealK) -> dict[tuple[int, int], int]:
     """Counts of lam in the residue field of K by the pair of classes
     ((lam/K)_6, (lam(1-lam)/K)_3)."""
-    counts: dict[tuple[int, int], int] = {}
-    for e6, e6c in _field_elements(K):
-        key = (e6 % 6, 2 * (e6 + e6c) % 6)
-        counts[key] = counts.get(key, 0) + 1
-    return counts
+    return Counter((e6, 2 * (e6 + e6c) % 6) for e6, e6c in _field_elements(K))
 
 
 def m_K1_sub(zeta: Unit6, xi: Unit6, K: PrimeIdealK) -> int:
@@ -414,58 +405,23 @@ def c6_count_bruteforce(
 
 def _c6_counts_bruteforce(pairs, K: PrimeIdealK) -> list[int]:
     """c6_count_bruteforce for each witness pair (gamma, delta), from one
-    table of cubes of the residue field of K shared by all of them.
+    walk over the residue field of K shared by all of them.
 
-    Each distinct sixth power s is visited once: it is z^6 for
-    (N - 1) / #sixths of the z in F^*, and each such z with
-    gamma s (1 - gamma s) / delta a nonzero cube has 3 points.
+    u = gamma z^6 runs over the g^t with t = log gamma mod 6, each for
+    6 of the z in F^*; u (1 - u) / delta is a nonzero cube iff u != 1
+    and t + zech[t] - log delta = 0 mod 3, and then each z has 3 points.
     """
+    index, log, zech, s = _field_logs(K)
     counts = []
-    if K.kind == "split":
-        p = K.residue_norm
-        # One pass over F_p^*: z^3 for each z, and which residues are
-        # nonzero cubes (is_cube[0] stays 0, dropping the points x = 0).
-        cubes = [z * z * z % p for z in range(1, p)]
-        is_cube = bytearray(p)
-        for c in cubes:
-            is_cube[c] = 1
-        sixths = {c * c % p for c in cubes}
-        weight = 3 * (p - 1) // len(sixths)
-        for gamma, delta in pairs:
-            g = K.reduce(gamma)
-            d_inv = pow(K.reduce(delta), -1, p)
-            count = 0
-            for s in sixths:
-                u = g * s % p  # gamma z^6
-                if is_cube[u * (1 - u) * d_inv % p]:
-                    count += weight
-            counts.append(count)
-    else:
-        k = K.generator.a
-        # The same tables over F_{k^2}, indexed by a * k + b.
-        cubes = [
-            _pair_mul(_pair_mul((a, b), (a, b), k), (a, b), k)
-            for a in range(k)
-            for b in range(k)
-            if a or b
-        ]
-        is_cube = bytearray(k * k)
-        for c in cubes:
-            is_cube[c[0] * k + c[1]] = 1
-        sixths = {_pair_mul(c, c, k) for c in cubes}
-        weight = 3 * (k * k - 1) // len(sixths)
-        for gamma, delta in pairs:
-            g = K.reduce(gamma)
-            d_inv = _pair_pow(K.reduce(delta), k * k - 2, k)  # d^(N-2) = d^(-1)
-            count = 0
-            for s in sixths:
-                gz6 = _pair_mul(g, s, k)
-                one_minus = ((1 - gz6[0]) % k, (-gz6[1]) % k)
-                w = _pair_mul(_pair_mul(gz6, one_minus, k), d_inv, k)
-                if is_cube[w[0] * k + w[1]]:
-                    count += weight
-            counts.append(count)
-    return [
-        n + e_term(sextic_symbol(gamma, K), sextic_symbol(delta, K) ** 2)
-        for n, (gamma, delta) in zip(counts, pairs)
-    ]
+    for gamma, delta in pairs:
+        gamma, delta = _coerce(gamma), _coerce(delta)
+        lg = log[index(gamma.a, gamma.b)]
+        ld = log[index(delta.a, delta.b)]
+        if lg < 0 or ld < 0:
+            raise ValueError(f"{gamma} or {delta} is not coprime to the modulus")
+        count = 0
+        for t in range(lg % 6, len(zech), 6):
+            if zech[t] >= 0 and (t + zech[t] - ld) % 3 == 0:
+                count += 18
+        counts.append(count + e_term(Unit6(s * lg), Unit6(2 * s * ld)))
+    return counts

@@ -30,9 +30,12 @@ a segment takes this route on y^2 = x^3 + k under the ``cm`` and
 ``auto`` backends, and the first route only for what the range does
 not hold.
 
-The ``auto`` choice of :func:`count_points` is a property of the curve,
-not of p: the CM formula when the reduction is y^2 = x^3 + k, else
-BSGS (naive up to p = 229 inside it).
+The ``auto`` choice has two rules.  :func:`count_points` sees only the
+reduction, so it takes the CM formula wherever that is y^2 = x^3 + k
+mod p (y^2 = x^3 + 7x + 2 at p = 7 too), else BSGS (naive up to
+p = 229 inside it).  A census decides by the curve over Q:
+``aliquot._Counter`` walks the CM primaries of a segment only on
+y^2 = x^3 + k, and on any other curve searches by BSGS above p = 229.
 
 A search that needs #E(F_p) only when it is prime asks no backend:
 :func:`first_annihilator` runs the same baby and giant steps on one

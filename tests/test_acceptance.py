@@ -5,9 +5,10 @@ the public API — pair censuses to 10^7, long-cycle verifications, residue
 table rows, closed-form identities, character invariants, and constructor
 round-trips.  Values are exact unless a tolerance is stated inline.
 
-The full file takes roughly ten minutes on one core; the two 10^7 pair
-censuses dominate.  Set ECALIQUOT_ACCEPTANCE_1E8=1 to also run the 10^8
-census (about an hour per core).
+The full file takes about 1.5 minutes wall on a shared 2-core host with
+4 census workers; the two 10^7 pair censuses dominate.  Set
+ECALIQUOT_ACCEPTANCE_1E8=1 to also run the 10^8 census (about 5.5
+minutes wall there, 11 minutes CPU).
 """
 
 from __future__ import annotations
@@ -520,7 +521,7 @@ class TestReferencePairPrefix:
 
     @pytest.mark.skipif(
         not os.environ.get("ECALIQUOT_ACCEPTANCE_1E8"),
-        reason="hour-long census; set ECALIQUOT_ACCEPTANCE_1E8=1 to run",
+        reason="minutes-long census; set ECALIQUOT_ACCEPTANCE_1E8=1 to run",
     )
     def test_at_1e8(self):
         check = run_reference_pair_check(10**8, workers=WORKERS)

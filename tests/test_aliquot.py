@@ -607,3 +607,8 @@ class TestTypeMaps:
     def test_iterate_terminates_at_fixed_point_one(self):
         orbit, i = iterate_type_map(E1, 1, kind="L")
         assert orbit[i:] == [1]
+
+    @pytest.mark.parametrize("max_steps", [0, -1])
+    def test_iterate_refuses_no_steps(self, max_steps):
+        with pytest.raises(ValueError, match="max_steps must be >= 1"):
+            iterate_type_map(MORDELL2, 13, max_steps=max_steps)

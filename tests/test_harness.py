@@ -853,6 +853,18 @@ class TestCli:
         assert len(lines) == 8
         assert all(line.endswith(",18,0") for line in lines[1:])
 
+    @pytest.mark.parametrize("bound", ["-5", "0", "6"])
+    def test_c6check_refuses_bound_below_least_norm(self, bound):
+        # The least norm of an ideal it checks is 7: a lower bound would
+        # check nothing and report that all classes agree.
+        result = self.invoke("c6check", "--norm-bound", bound)
+        assert result.exit_code == 1
+        assert result.stdout == ""
+        assert result.stderr.startswith("# error: --norm-bound must be >= 7")
+        result = self.invoke("c6check", "--norm-bound", "7")
+        assert result.exit_code == 0
+        assert len(result.stdout.splitlines()) == 3  # 7 and 7bar
+
     def test_growth_table(self):
         result = self.invoke(
             "growth",
@@ -878,6 +890,15 @@ class TestCli:
         rows = json.loads(result.stdout)
         assert rows[0] == {"step": 0, "value": 5, "in_cycle": False}
         assert any(r["in_cycle"] for r in rows)
+
+    @pytest.mark.parametrize("steps", ["0", "-1"])
+    def test_typeln_refuses_no_steps(self, steps):
+        result = self.invoke(
+            "typeln", "--k", "2", "--start", "5", "--max-steps", steps
+        )
+        assert result.exit_code == 1
+        assert result.stdout == ""
+        assert result.stderr == "# error: max_steps must be >= 1\n"
 
     def test_library_error_exits_1_without_traceback(self, tmp_path):
         ck = tmp_path / "cli.ckpt"
