@@ -24,12 +24,12 @@ from .aliquot import (
     verify_cycle,
 )
 from .arith import primes_in_range
-# Unused since c6check counts all 18 classes of an ideal from one table;
-# perfbench/spans.py patches it.
-from .cm_density import c6_count_bruteforce  # noqa: F401
+# Unused since c6check counts all 18 classes of an ideal at once, by
+# brute force and by the trace formula; perfbench/spans.py patches them.
+from .cm_density import c6_count_bruteforce, c6_count_trace  # noqa: F401
 from .cm_density import (
     _c6_counts_bruteforce,
-    c6_count_trace,
+    _c6_counts_trace,
     class_witness_cubic,
     class_witness_sextic,
     m_counts,
@@ -407,7 +407,9 @@ def c6check(norm_bound, out_format):
             actual = _c6_counts_bruteforce(
                 [(gamma, delta) for gamma in gammas for delta in deltas], K
             )
-            expected = [c6_count_trace(zeta, xi, K) for zeta in zetas for xi in xis]
+            expected = _c6_counts_trace(
+                [(zeta, xi) for zeta in zetas for xi in xis], K
+            )
             mismatches = sum(a != b for a, b in zip(actual, expected))
             bad += mismatches
             rows.append(

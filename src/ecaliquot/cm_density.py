@@ -30,10 +30,12 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import cycle, islice
 from math import prod
 
 from .arith import factorint, isprime
 from .eisenstein import (
+    UNITS,
     EisensteinInt,
     PrimeIdealK,
     Unit6,
@@ -72,18 +74,21 @@ def _in_m(case: str, e6: int) -> bool:
     return True  # case d: all of O-sharp
 
 
-def _field_logs(K: PrimeIdealK):
-    """Discrete logs in the residue field F = Z[w]/K, from one walk over
-    the powers g^j of the first generator g of F^* in K.reduce's order.
+def _field_exponents(K: PrimeIdealK):
+    """The sextic symbols of the residue field F = Z[w]/K, from one walk
+    over the powers g^j of the first generator g of F^* in K.reduce's
+    order: the symbol is a character of the cyclic group F^*, so
+    (g^j/K)_6 = w^(s j) where (g/K)_6 = w^s (Ireland and Rosen, ch. 9).
 
-    Returns (index, log, zech, s): index(a, b) numbers the element
-    a + b*w mod K, log[i] is the log of element i (-1 at 0),
-    zech[j] = log(1 - g^j), and (g/K)_6 = w^s, so that every sextic
-    symbol is (x/K)_6 = w^(s * log[x]) (Ireland and Rosen, ch. 9).
+    Returns (index, exps, cyclotomic): index(a, b) numbers the element
+    a + b*w mod K, exps[i] is the exponent of the symbol of element i
+    (NON_UNIT at 0), and cyclotomic counts the x != 0, 1 of F by
+    (exps of x, exps of 1 - x): the cyclotomic numbers of order 6.
     """
     n = K.residue_norm
     order = n - 1
     cofactors = [order // q for q in factorint(order)]
+    exps = bytearray([NON_UNIT]) * n
     if K.kind == "split":
         w0 = K.omega_residue()
 
@@ -93,13 +98,14 @@ def _field_logs(K: PrimeIdealK):
         g = next(
             x for x in range(2, n) if all(pow(x, c, n) != 1 for c in cofactors)
         )
-        log = [-1] * n
-        complements = [0] * order
+        # g^(order / 6) is w or w^-1
+        s = 1 if pow(g, order // 6, n) == w0 else -1
         x = 1
-        for j in range(order):
-            log[x] = j
-            complements[j] = (1 - x) % n
+        for e in islice(cycle([s * j % 6 for j in range(6)]), order):
+            exps[x] = e
             x = x * g % n
+        # 1 - x for x = 0, 1, ..., n - 1 is 1, 0, n - 1, ..., 2
+        complements = exps[1::-1] + exps[:1:-1]
     else:
         k = K.generator.a
 
@@ -107,23 +113,26 @@ def _field_logs(K: PrimeIdealK):
             return a % k * k + b % k
 
         # b = 0 spans only F_k^*, so no generator has it.
-        a, b = next(
+        ga, gb = next(
             (a, b)
             for a in range(k)
             for b in range(1, k)
             if all(_pair_pow((a, b), c, k) != (1, 0) for c in cofactors)
         )
-        log = [-1] * n
-        complements = [0] * order
+        s = 1 if _pair_pow((ga, gb), order // 6, k) == (0, 1) else -1
         x, y = 1, 0
-        for j in range(order):
-            log[x * k + y] = j
-            complements[j] = (1 - x) % k * k + -y % k
-            x, y = (x * a - y * b) % k, (x * b + y * a + y * b) % k
-    zech = [log[i] for i in complements]
-    # w = g^(s * order / 6), as g^(order / 6) = w^s with s = +-1 mod 6.
-    s = 6 * log[index(0, 1)] // order
-    return index, log, zech, s
+        for e in islice(cycle([s * j % 6 for j in range(6)]), order):
+            exps[x * k + y] = e
+            x, y = (x * ga - y * gb) % k, (x * gb + y * ga + y * gb) % k
+        # 1 - (a + b w) = (1 - a) - b w: row 1 - a, read from b = 0 down
+        rows = [exps[a * k : a * k + k] for a in range(k)]
+        complements = b"".join(
+            row[:1] + row[:0:-1] for row in (rows[(1 - a) % k] for a in range(k))
+        )
+    cyclotomic = Counter(zip(exps, complements))
+    for key in [key for key in cyclotomic if NON_UNIT in key]:
+        del cyclotomic[key]
+    return index, bytes(exps), cyclotomic
 
 
 @lru_cache(maxsize=128)
@@ -133,12 +142,13 @@ def _sextic_exponent_table(r: int) -> bytes:
     NON_UNIT sentinel.  Indexed by a * r + b."""
     if r < 5 or r % 3 == 0:
         raise ValueError("residue tables require a prime r >= 5, r != 3")
-    exps = []
+    tables = []
     for K in ideals_above(r):
-        index, log, _, s = _field_logs(K)
-        # negative exactly where the residue is 0 mod K
-        exps.append([s * log[index(a, b)] for a in range(r) for b in range(r)])
-    return bytes(NON_UNIT if min(e) < 0 else sum(e) % 6 for e in zip(*exps))
+        index, exps, _ = _field_exponents(K)
+        tables.append([exps[index(a, b)] for a in range(r) for b in range(r)])
+    return bytes(
+        NON_UNIT if NON_UNIT in e else sum(e) % 6 for e in zip(*tables)
+    )
 
 
 def _residue_scan(k: int):
@@ -305,18 +315,14 @@ def predicted_density(k: int) -> Fraction:
 # ---------------------------------------------------------------------------
 # Per-ideal class counts and the genus-4 curve C6
 
-def _field_elements(K: PrimeIdealK):
-    """All elements x = g^j of the residue field besides 0 and 1, as the
-    sextic exponents of x and of its complement 1 - x."""
-    _, _, zech, s = _field_logs(K)
-    return ((s * j % 6, s * zech[j] % 6) for j in range(1, len(zech)))
-
-
 @lru_cache(maxsize=512)
 def _m_K1_table(K: PrimeIdealK) -> dict[tuple[int, int], int]:
     """Counts of lam in the residue field of K by the pair of classes
     ((lam/K)_6, (lam(1-lam)/K)_3)."""
-    return Counter((e6, 2 * (e6 + e6c) % 6) for e6, e6c in _field_elements(K))
+    table: Counter[tuple[int, int]] = Counter()
+    for (e6, e6c), count in _field_exponents(K)[2].items():
+        table[e6, 2 * (e6 + e6c) % 6] += count
+    return table
 
 
 def m_K1_sub(zeta: Unit6, xi: Unit6, K: PrimeIdealK) -> int:
@@ -351,17 +357,33 @@ def c6_count_trace(zeta: Unit6, xi: Unit6, K: PrimeIdealK) -> int:
     Y^2 - X^3 = +g d^2), so each trace term is the unit
     (4 kappa / K)_6 times the conjugate generator.
     """
-    if xi.exp % 2 != 0:
-        raise ValueError("xi must be a cube root of unity")
-    N = K.residue_norm
+    return _c6_counts_trace([(zeta, xi)], K)[0]
+
+
+def _c6_counts_trace(classes, K: PrimeIdealK) -> list[int]:
+    """c6_count_trace for each class pair (zeta, xi) of K.
+
+    The ideal gives eps = (2/K)_6^2 and the six traces tr(w^j pi_bar)
+    once; each class adds the four traces whose unit exponents are
+    xi, eps^2 zeta^3 xi^2, eps zeta^5 xi and eps zeta xi, mod 6.
+    """
     pi_bar = K.generator.conjugate()
-    eps = sextic_symbol(2, K) ** 2
-    total = N + 1
-    total += (xi.as_eisenstein() * pi_bar).trace
-    total += ((eps ** 2 * zeta ** 3 * xi ** 2).as_eisenstein() * pi_bar).trace
-    total += ((eps * zeta ** 5 * xi).as_eisenstein() * pi_bar).trace
-    total += ((eps * zeta * xi).as_eisenstein() * pi_bar).trace
-    return total
+    eps = 2 * sextic_symbol(2, K).exp
+    traces = [(u * pi_bar).trace for u in UNITS]
+    counts = []
+    for zeta, xi in classes:
+        if xi.exp % 2 != 0:
+            raise ValueError("xi must be a cube root of unity")
+        z, x = zeta.exp, xi.exp
+        counts.append(
+            K.residue_norm
+            + 1
+            + traces[x]
+            + traces[(2 * eps + 3 * z + 2 * x) % 6]
+            + traces[(eps + 5 * z + x) % 6]
+            + traces[(eps + z + x) % 6]
+        )
+    return counts
 
 
 def _class_witness(K: PrimeIdealK, target: Unit6, symbol) -> EisensteinInt:
@@ -407,21 +429,23 @@ def _c6_counts_bruteforce(pairs, K: PrimeIdealK) -> list[int]:
     """c6_count_bruteforce for each witness pair (gamma, delta), from one
     walk over the residue field of K shared by all of them.
 
-    u = gamma z^6 runs over the g^t with t = log gamma mod 6, each for
-    6 of the z in F^*; u (1 - u) / delta is a nonzero cube iff u != 1
-    and t + zech[t] - log delta = 0 mod 3, and then each z has 3 points.
+    u = gamma z^6 runs over the u of F with (u/K)_6 = (gamma/K)_6, each
+    for 6 of the z in F^*; u (1 - u) / delta is a nonzero cube iff u != 1
+    and the exponents of u, 1 - u and delta satisfy e(u) + e(1 - u) =
+    e(delta) mod 3, and then each z has 3 points.
     """
-    index, log, zech, s = _field_logs(K)
+    index, exps, cyclotomic = _field_exponents(K)
     counts = []
     for gamma, delta in pairs:
         gamma, delta = _coerce(gamma), _coerce(delta)
-        lg = log[index(gamma.a, gamma.b)]
-        ld = log[index(delta.a, delta.b)]
-        if lg < 0 or ld < 0:
+        eg = exps[index(gamma.a, gamma.b)]
+        ed = exps[index(delta.a, delta.b)]
+        if NON_UNIT in (eg, ed):
             raise ValueError(f"{gamma} or {delta} is not coprime to the modulus")
-        count = 0
-        for t in range(lg % 6, len(zech), 6):
-            if zech[t] >= 0 and (t + zech[t] - ld) % 3 == 0:
-                count += 18
-        counts.append(count + e_term(Unit6(s * lg), Unit6(2 * s * ld)))
+        count = sum(
+            n
+            for (e, ec), n in cyclotomic.items()
+            if e == eg and (e + ec - ed) % 3 == 0
+        )
+        counts.append(18 * count + e_term(Unit6(eg), Unit6(2 * ed)))
     return counts

@@ -19,16 +19,18 @@ Three counting backends are provided:
 * the CM formula for y^2 = x^3 + k via the sextic residue symbol,
   exposed as :func:`count_points_cm_j0`.
 
-The CM formula has one definition, ``_count_at_primary``: #E(F_p) from
-a primary prime pi = a + b w of norm p, with ``grossencharacter_j0``'s
-psi computed on bare integers.  It has two routes to pi.  One prime at a
+The CM formula gives #E(F_p) from a primary prime pi = a + b w of norm
+p, with ``grossencharacter_j0``'s psi computed on bare integers
+(``_count_at_primary``).  It has two routes to pi.  One prime at a
 time, :func:`count_points_cm_j0` and ``count_points`` take pi from
 ``primary_split`` (Cornacchia).  Over a range, :func:`cm_j0_counts`
 walks the primaries themselves and keeps those whose norm a sieve marks
 prime, and gives each inert prime of the range its p + 1; the sweep of
 a segment takes this route on y^2 = x^3 + k under the ``cm`` and
 ``auto`` backends, and the first route only for what the range does
-not hold.
+not hold.  The range route also takes the sextic symbol of 4k by
+reciprocity, from tables of pi modulo the primes of 6k, where the one
+prime route takes a modular power.
 
 The ``auto`` choice has two rules.  :func:`count_points` sees only the
 reduction, so it takes the CM formula wherever that is y^2 = x^3 + k
@@ -53,7 +55,8 @@ from functools import cached_property, lru_cache
 from itertools import chain, compress
 from math import gcd, isqrt
 
-from .arith import isprime, nextprime
+from .arith import factorint, isprime, nextprime
+from .cm_density import _sextic_exponent_table
 from .eisenstein import EisensteinInt, PrimeIdealK, primary_split, sextic_symbol
 
 MESTRE_BOUND = 229  # above it, BSGS always finds a unique order
@@ -577,9 +580,62 @@ def _count_at_primary(k: int, p: int, a: int, b: int) -> int:
         t = t * w % p
     else:
         raise ArithmeticError(f"{a}+{b}*w is not a primary prime over {p}")
-    # tr(w^j pi) for j = 0..5, and tr(psi) = -tr(w^(-e) pi)
-    traces = (2 * a + b, a - b, -a - 2 * b, -2 * a - b, b - a, a + 2 * b)
-    return p + 1 + traces[-e % 6]
+    return p + 1 + _unit_trace(a, b, -e)
+
+
+def _unit_trace(a: int, b: int, j: int) -> int:
+    """tr(w^j pi) for pi = a + b w; tr(psi) = -tr(w^(-e) pi)."""
+    t = (2 * a + b, a - b, -a - 2 * b)[j % 3]
+    return t if j % 6 < 3 else -t
+
+
+def _reciprocity_tables(k: int, width: int):
+    """Tables that give e in (4k/pi)_6 = w^e from pi = a + b w modulo the
+    primes of 6k, for a primary pi whose norm p does not divide 6k; None
+    when a prime r >= 5 of k has r^2 > width, so that its table would
+    cost more than the window of that width it serves.
+
+    Returns (by_p, by_ab, rows), and e = by_p[p % 72] + by_ab[b % 2][(a +
+    b) % 18] + the sum of v T[(a % r) r + b % r] over rows (r, v, T),
+    mod 6.  The symbol is a product over the prime powers of 4k, and
+    each factor is a reciprocity law (Ireland and Rosen, ch. 5 and ch. 9
+    sec. 3-4).  With u = w^2, a cubic symbol u^y adds 4y to e, and a
+    quadratic symbol -1 adds 3:
+    - r >= 5 with r^v || k: (r/pi)_3 = (pi/r)_3 and (r/p) = (p/r), times
+      -1 when r = p = 3 (mod 4); T = cm_density._sextic_exponent_table(r)
+      holds both symbols of pi mod r;
+    - 2^(v2 + 2): (2/pi)_3 = (pi/2)_3 = u^c2, the cube root of unity
+      = pi (mod 2), so c2 = 0, 2, 1 at (a, b) = (1, 0), (0, 1), (1, 1)
+      (mod 2), and (2/p) = -1 iff p = +-3 (mod 8);
+    - 3^v3: 3 = -u^2 (1 - u)^2, so (3/pi)_3 = u^(2 (p-1)/3 + 4m), from
+      (u/pi)_3 = u^((p-1)/3) and the supplement ((1 - u)/pi)_3 = u^(2m)
+      with m = (a + b + 1)/3, and (3/p) = -1 iff p = 3 (mod 4);
+    - the sign: (-1/pi)_6 = (-1)^((p-1)/6) is -1 iff p = 3 (mod 4).
+    """
+    if not k:
+        return None
+    fac = factorint(abs(k))
+    if any(r >= 5 and r * r > width for r in fac):
+        return None
+    v2, v3 = fac.pop(2, 0), fac.pop(3, 0)
+    # how many of the quadratic factors are -1 exactly when p = 3 (mod 4)
+    odd4 = sum(v for r, v in fac.items() if r % 4 == 3) + v3 + (k < 0)
+    by_p = tuple(
+        3 * odd4 * (m % 4 == 3)
+        + 3 * v2 * (m % 8 in (3, 5))
+        + 8 * v3 * ((m % 9 - 1) // 3)
+        for m in range(72)
+    )
+    c2 = {(1, 0): 0, (0, 1): 2, (1, 1): 1, (0, 0): 0}  # (0, 0): p is odd
+    by_ab = tuple(
+        tuple(
+            4 * (v2 + 2) * c2[(s - b2) % 2, b2] + 4 * v3 * ((s + 1) % 9 // 3)
+            for s in range(18)
+        )
+        for b2 in (0, 1)
+    )
+    rows = [(r, v, _sextic_exponent_table(r)) for r, v in fac.items()]
+    return by_p, by_ab, rows
 
 
 def cm_j0_counts(k: int, lo: int, flags: bytearray) -> dict[int, int]:
@@ -591,7 +647,10 @@ def cm_j0_counts(k: int, lo: int, flags: bytearray) -> dict[int, int]:
     b > 0 (the one primary_split returns), and a = 2, b = 0 (mod 3).
     The walk runs over those lattice points by b, and over the trace
     c = 2a + b, since 4 N = c^2 + 3 b^2; a prime norm is counted at its
-    primary, with no Cornacchia step and no primality test.
+    primary, with no Cornacchia step and no primality test.  The symbol
+    (4k/pi)_6 = w^e comes from _reciprocity_tables, by lookups on pi mod
+    the primes of 6k, unless a prime of k is too large for the window;
+    then _count_at_primary takes it by a pow at each prime.
     """
     hi = lo + len(flags)
     first = lo + (2 - lo) % 3  # the least n >= lo with n = 2 (mod 3)
@@ -600,6 +659,9 @@ def cm_j0_counts(k: int, lo: int, flags: bytearray) -> dict[int, int]:
         for n in compress(range(first, hi, 3), flags[first - lo :: 3])
         if (6 * k) % n
     }
+    tables = _reciprocity_tables(k, len(flags))
+    if tables is not None:
+        by_p, by_ab, rows = tables
     for b in range(3, isqrt((4 * hi - 1) // 3) + 1, 3):
         t = 3 * b * b
         low = 4 * lo - t  # c^2 ranges over [low, 4 hi - t)
@@ -607,13 +669,23 @@ def cm_j0_counts(k: int, lo: int, flags: bytearray) -> dict[int, int]:
         c_max = isqrt(4 * hi - t - 1)
         # c = 1 (mod 3) and c = b (mod 2): a residue class mod 6, r or -r
         r = 1 if b & 1 else 4
+        if tables is not None:
+            by_a = by_ab[b & 1]
+            rows_b = [(q, v, T[b % q :: q]) for q, v, T in rows]
         for c in chain(
             range(c_min + (r - c_min) % 6, c_max + 1, 6),
             range(-c_min - (-c_min - r) % 6, -c_max - 1, -6),
         ):
             n = (c * c + t) >> 2
             if flags[n - lo] and (6 * k) % n:
-                counts[n] = _count_at_primary(k, n, (c - b) >> 1, b)
+                a = (c - b) >> 1
+                if tables is None:
+                    counts[n] = _count_at_primary(k, n, a, b)
+                    continue
+                e = by_p[n % 72] + by_a[(a + b) % 18]
+                for q, v, row in rows_b:
+                    e += v * row[a % q]
+                counts[n] = n + 1 + _unit_trace(a, b, -e)
     return counts
 
 

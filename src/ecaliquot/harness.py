@@ -28,6 +28,7 @@ from .aliquot import SEGMENT_SIZE, _Counter, _segment_grid, _verified, _walk
 # Unused since sweeps tally type 1 by the trace route; perfbench/spans.py
 # patches it.
 from .aliquot import classify_type1  # noqa: F401
+from .arith import factorint
 # Unused since sweeps step through aliquot._walk and take their primes
 # from the window sieve; perfbench/spans.py patches both.
 from .arith import isprime, primes_in_range  # noqa: F401
@@ -413,7 +414,8 @@ class DensityRow:
     """The refined-prime statistics of y^2 = x^3 + k up to X.
 
     predicted is the exact local density when the residue analysis
-    applies (k >= 5 and coprime to 6), else None.
+    applies to the sixth-power-free part of k (>= 5 and coprime to 6),
+    else None.
     """
 
     k: int
@@ -433,6 +435,12 @@ class DensityRow:
         return self.q_pairs / self.n_type1 if self.n_type1 else None
 
 
+def _sixth_power_free(k: int) -> int:
+    """k divided by its largest sixth-power divisor (k != 0)."""
+    free = math.prod(r ** (v % 6) for r, v in factorint(abs(k)).items())
+    return free if k > 0 else -free
+
+
 def run_density_report(
     k: int,
     x_bound: int,
@@ -441,9 +449,13 @@ def run_density_report(
     checkpoint: str | None = None,
 ) -> DensityRow:
     """Compare the observed type 1 density of y^2 = x^3 + k with the
-    exact local prediction."""
+    exact local prediction.
+
+    y^2 = x^3 + k m^6 is y^2 = x^3 + k over Q, by (x, y) -> (m^2 x,
+    m^3 y), so the prediction is that of k without its sixth powers.
+    """
     try:
-        predicted = predict(k).density
+        predicted = predict(_sixth_power_free(k)).density
     except ValueError:
         predicted = None  # k not coprime to 6, or N_k finite
     report = run_pair_sweep(

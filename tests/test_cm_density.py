@@ -12,6 +12,7 @@ from math import prod
 import pytest
 
 from ecaliquot.cm_density import (
+    _c6_counts_trace,
     c6_count_bruteforce,
     c6_count_trace,
     class_witness_cubic,
@@ -303,6 +304,33 @@ class TestC6Counts:
                     assert c6_count_trace(zeta, xi, K) == 18 * m_K1_sub(
                         zeta, xi, K
                     ) + e_term(zeta, xi)
+
+    def test_list_form_equals_one_class_form_above_primes_below_600(self):
+        # and the four unit products of the trace formula, taken literally
+        classes = [(Unit6(z), Unit6(x)) for z in range(6) for x in (0, 2, 4)]
+        ideals = [
+            K for r in range(5, 600) if isprime(r) and r % 3 for K in ideals_above(r)
+        ]
+        assert len(ideals) == 157
+        for K in ideals:
+            pi_bar = K.generator.conjugate()
+            eps = sextic_symbol(2, K) ** 2
+            literal = [
+                K.residue_norm
+                + 1
+                + sum(
+                    (u.as_eisenstein() * pi_bar).trace
+                    for u in (
+                        xi,
+                        eps ** 2 * zeta ** 3 * xi ** 2,
+                        eps * zeta ** 5 * xi,
+                        eps * zeta * xi,
+                    )
+                )
+                for zeta, xi in classes
+            ]
+            assert _c6_counts_trace(classes, K) == literal
+            assert [c6_count_trace(z, x, K) for z, x in classes] == literal
 
     @pytest.mark.parametrize("r", IDEAL_PRIMES)
     def test_trace_equals_bruteforce(self, r):

@@ -383,6 +383,57 @@ class TestCmRange:
         assert {p for p in primes_in_range(2, X) if (6 * k) % p} == set(counts)
 
 
+class TestCmReciprocity:
+    """cm_j0_counts' table route to (4k/pi)_6 against _count_at_primary's
+    pow route, at every split prime of its windows."""
+
+    @staticmethod
+    def _check(k, lo, hi, route="tables"):
+        flags = prime_flags(lo, hi)
+        tables = curves_mod_p._reciprocity_tables(k, len(flags))
+        assert (tables is None) == (route == "pow"), (k, lo, hi)
+        counts = cm_j0_counts(k, lo, flags)
+        split = [p for p in counts if p % 3 == 1]
+        assert split or hi - lo < 100
+        for p in split:
+            pi = curves_mod_p.primary_split(p)
+            assert counts[p] == curves_mod_p._count_at_primary(
+                k, p, pi.a, pi.b
+            ), (k, p)
+
+    @pytest.mark.parametrize(
+        "k",
+        [k for k in range(-60, 61) if k] + [385, 1001, 2**5 * 3**4 * 7, 343, 625],
+    )
+    def test_windows_below_2e4(self, k):
+        for lo in range(2, 2 * 10**4, 1 << 12):
+            self._check(k, lo, min(lo + (1 << 12), 2 * 10**4 + 1))
+
+    @pytest.mark.parametrize("k", [2, -3, 5, 7, 13, 385])
+    @pytest.mark.parametrize("lo", [10**6 - 1234, 10**8 + 4321])
+    def test_windows_near_1e6_and_1e8(self, k, lo):
+        self._check(k, lo, lo + (1 << 12))
+
+    @pytest.mark.parametrize("k", [1000003, 2 * 65537, 5 * 211])
+    def test_large_prime_of_k_takes_the_pow_route(self, k):
+        self._check(k, 2, 3000, route="pow")
+        self._check(k, 10**6, 10**6 + (1 << 12), route="pow")
+
+    def test_tables_up_to_the_window_width(self):
+        assert curves_mod_p._reciprocity_tables(-5 * 211, 211**2 - 1) is None
+        assert curves_mod_p._reciprocity_tables(-5 * 211, 211**2) is not None
+
+    def test_table_route_calls_no_pow(self, monkeypatch):
+        flags = prime_flags(10**6, 10**6 + (1 << 12))
+        want = cm_j0_counts(385, 10**6, flags)
+
+        def refuse(*args):
+            raise AssertionError("pow on the table route")
+
+        monkeypatch.setattr(curves_mod_p, "pow", refuse, raising=False)
+        assert cm_j0_counts(385, 10**6, flags) == want
+
+
 def _naive_counts(E, lo, hi):
     return {
         p: count_points_naive(reduce_curve(E, p))

@@ -636,6 +636,24 @@ class TestDensityReport:
         assert row.predicted is None
         assert row.n_k == row.n_type1 > 0
 
+    @pytest.mark.parametrize(
+        "k, base, predicted",
+        [(320, 5, Fraction(1, 3)), (5103, 7, Fraction(13, 25))],
+    )
+    def test_sixth_powers_leave_the_row_unchanged(self, k, base, predicted):
+        # 320 = 2^6 5 and 5103 = 3^6 7: the same curve over Q as the base
+        row = run_density_report(k, 10**5)
+        base_row = run_density_report(base, 10**5)
+        assert row.k == k
+        assert row.predicted == base_row.predicted == predicted
+        assert (row.q_pairs, row.n_type1, row.n_k) == (
+            base_row.q_pairs,
+            base_row.n_type1,
+            base_row.n_k,
+        )
+        if base == 5:
+            assert (row.q_pairs, row.n_type1, row.n_k) == (40, 170, 493)
+
     def test_row_ratios_handle_zero_counts(self):
         row = DensityRow(
             k=5, x_bound=10, q_pairs=0, n_type1=0, n_k=0, predicted=None
