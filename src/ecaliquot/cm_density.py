@@ -75,20 +75,20 @@ def _in_m(case: str, e6: int) -> bool:
 
 
 def _field_exponents(K: PrimeIdealK):
-    """The sextic symbols of the residue field F = Z[w]/K, from one walk
-    over the powers g^j of the first generator g of F^* in K.reduce's
-    order: the symbol is a character of the cyclic group F^*, so
-    (g^j/K)_6 = w^(s j) where (g/K)_6 = w^s (Ireland and Rosen, ch. 9).
+    """The sextic symbols of the residue field F = Z[w]/K: the symbol is
+    a character of the cyclic group F^*, so (g^j/K)_6 = w^(s j) for a
+    generator g with (g/K)_6 = w^s (Ireland and Rosen, ch. 9).
 
-    Returns (index, exps, cyclotomic): index(a, b) numbers the element
-    a + b*w mod K, exps[i] is the exponent of the symbol of element i
-    (NON_UNIT at 0), and cyclotomic counts the x != 0, 1 of F by
-    (exps of x, exps of 1 - x): the cyclotomic numbers of order 6.
+    Returns (index, exps): index(a, b) numbers the element a + b*w mod
+    K, and exps[i] is the exponent of the symbol of element i (NON_UNIT
+    at 0).  A split K walks the N - 1 powers of g.  An inert K = k Z[w]
+    walks only g^0, ..., g^k: they represent the classes of F^* / F_k^*,
+    and the symbol is 1 on F_k^* = <g^(k+1)> as 6 | k + 1, so it is
+    constant on each class, that of w or of 1 + v w with v in F_k.
     """
     n = K.residue_norm
     order = n - 1
     cofactors = [order // q for q in factorint(order)]
-    exps = bytearray([NON_UNIT]) * n
     if K.kind == "split":
         w0 = K.omega_residue()
 
@@ -100,31 +100,51 @@ def _field_exponents(K: PrimeIdealK):
         )
         # g^(order / 6) is w or w^-1
         s = 1 if pow(g, order // 6, n) == w0 else -1
+        exps = bytearray([NON_UNIT]) * n
         x = 1
         for e in islice(cycle([s * j % 6 for j in range(6)]), order):
             exps[x] = e
             x = x * g % n
+        return index, bytes(exps)
+    k = K.generator.a
+
+    def index(a: int, b: int) -> int:
+        return a % k * k + b % k
+
+    # b = 0 spans only F_k^*, and a = 0 only F_k^* <w>, so no generator
+    # has either.
+    ga, gb = next(
+        (a, b)
+        for a in range(1, k)
+        for b in range(1, k)
+        if all(_pair_pow((a, b), c, k) != (1, 0) for c in cofactors)
+    )
+    s = 1 if _pair_pow((ga, gb), order // 6, k) == (0, 1) else -1
+    line = bytearray(k)  # line[v] is the exponent of 1 + v w
+    x, y = 1, 0
+    for j in range(k + 1):
+        if x:
+            line[y * pow(x, -1, k) % k] = s * j % 6
+        else:
+            at_w = s * j % 6
+        x, y = (x * ga - y * gb) % k, (x * gb + y * ga + y * gb) % k
+    # a + b w = a (1 + (b / a) w): row a != 0 reads line at b c, c = 1 / a
+    ext = bytes(line) * k
+    rows = [bytes([NON_UNIT]) + bytes([at_w]) * (k - 1)]
+    rows += [ext[: k * c : c] for c in (pow(a, -1, k) for a in range(1, k))]
+    return index, b"".join(rows)
+
+
+def _cyclotomic_numbers(K: PrimeIdealK, exps: bytes) -> Counter:
+    """Counts of the x != 0, 1 of the residue field of K by (exps of x,
+    exps of 1 - x), from _field_exponents: the cyclotomic numbers of
+    order 6."""
+    if K.kind == "split":
         # 1 - x for x = 0, 1, ..., n - 1 is 1, 0, n - 1, ..., 2
         complements = exps[1::-1] + exps[:1:-1]
     else:
-        k = K.generator.a
-
-        def index(a: int, b: int) -> int:
-            return a % k * k + b % k
-
-        # b = 0 spans only F_k^*, so no generator has it.
-        ga, gb = next(
-            (a, b)
-            for a in range(k)
-            for b in range(1, k)
-            if all(_pair_pow((a, b), c, k) != (1, 0) for c in cofactors)
-        )
-        s = 1 if _pair_pow((ga, gb), order // 6, k) == (0, 1) else -1
-        x, y = 1, 0
-        for e in islice(cycle([s * j % 6 for j in range(6)]), order):
-            exps[x * k + y] = e
-            x, y = (x * ga - y * gb) % k, (x * gb + y * ga + y * gb) % k
         # 1 - (a + b w) = (1 - a) - b w: row 1 - a, read from b = 0 down
+        k = K.generator.a
         rows = [exps[a * k : a * k + k] for a in range(k)]
         complements = b"".join(
             row[:1] + row[:0:-1] for row in (rows[(1 - a) % k] for a in range(k))
@@ -132,7 +152,7 @@ def _field_exponents(K: PrimeIdealK):
     cyclotomic = Counter(zip(exps, complements))
     for key in [key for key in cyclotomic if NON_UNIT in key]:
         del cyclotomic[key]
-    return index, bytes(exps), cyclotomic
+    return cyclotomic
 
 
 @lru_cache(maxsize=128)
@@ -142,12 +162,25 @@ def _sextic_exponent_table(r: int) -> bytes:
     NON_UNIT sentinel.  Indexed by a * r + b."""
     if r < 5 or r % 3 == 0:
         raise ValueError("residue tables require a prime r >= 5, r != 3")
-    tables = []
-    for K in ideals_above(r):
-        index, exps, _ = _field_exponents(K)
-        tables.append([exps[index(a, b)] for a in range(r) for b in range(r)])
-    return bytes(
-        NON_UNIT if NON_UNIT in e else sum(e) % 6 for e in zip(*tables)
+    ideals = ideals_above(r)
+    if len(ideals) == 1:  # inert: the residue field is indexed a * r + b
+        return _field_exponents(ideals[0])[1]
+    # one byte string per ideal K, over a + b w0 with w0 = w (mod K):
+    # row a reads the exponents of K's field from a in steps of w0
+    digits = []
+    for K in ideals:
+        w0 = K.omega_residue()
+        ext = _field_exponents(K)[1] * (r + 1)
+        row = b"".join(ext[a : a + r * w0 : w0] for a in range(r))
+        row = row.replace(bytes([NON_UNIT]), bytes([6]))
+        digits.append(int.from_bytes(row, "big"))
+    # 7 e1 + e2 in each byte, with no carry as e1, e2 <= 6 (6 for NON_UNIT)
+    pairs = (7 * digits[0] + digits[1]).to_bytes(r * r, "big")
+    return pairs.translate(
+        bytes(
+            NON_UNIT if 6 in divmod(c, 7) else sum(divmod(c, 7)) % 6
+            for c in range(256)
+        )
     )
 
 
@@ -320,7 +353,8 @@ def _m_K1_table(K: PrimeIdealK) -> dict[tuple[int, int], int]:
     """Counts of lam in the residue field of K by the pair of classes
     ((lam/K)_6, (lam(1-lam)/K)_3)."""
     table: Counter[tuple[int, int]] = Counter()
-    for (e6, e6c), count in _field_exponents(K)[2].items():
+    exps = _field_exponents(K)[1]
+    for (e6, e6c), count in _cyclotomic_numbers(K, exps).items():
         table[e6, 2 * (e6 + e6c) % 6] += count
     return table
 
@@ -434,7 +468,8 @@ def _c6_counts_bruteforce(pairs, K: PrimeIdealK) -> list[int]:
     and the exponents of u, 1 - u and delta satisfy e(u) + e(1 - u) =
     e(delta) mod 3, and then each z has 3 points.
     """
-    index, exps, cyclotomic = _field_exponents(K)
+    index, exps = _field_exponents(K)
+    cyclotomic = _cyclotomic_numbers(K, exps)
     counts = []
     for gamma, delta in pairs:
         gamma, delta = _coerce(gamma), _coerce(delta)

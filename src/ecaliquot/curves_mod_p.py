@@ -55,7 +55,7 @@ from functools import cached_property, lru_cache
 from itertools import chain, compress
 from math import gcd, isqrt
 
-from .arith import factorint, isprime, nextprime
+from .arith import isprime, nextprime
 from .cm_density import _sextic_exponent_table
 from .eisenstein import EisensteinInt, PrimeIdealK, primary_split, sextic_symbol
 
@@ -592,8 +592,11 @@ def _unit_trace(a: int, b: int, j: int) -> int:
 def _reciprocity_tables(k: int, width: int):
     """Tables that give e in (4k/pi)_6 = w^e from pi = a + b w modulo the
     primes of 6k, for a primary pi whose norm p does not divide 6k; None
-    when a prime r >= 5 of k has r^2 > width, so that its table would
-    cost more than the window of that width it serves.
+    when the squares r^2 of the primes r >= 5 of k sum past width, so
+    that the tables of a window of that width hold no more bytes than
+    its sieve.  A table takes a walk of O(r) steps and r^2 bytes of
+    slicing, well under what the pow route spends on the split primes
+    of such a window; k is split by trial division up to that bound.
 
     Returns (by_p, by_ab, rows), and e = by_p[p % 72] + by_ab[b % 2][(a +
     b) % 18] + the sum of v T[(a % r) r + b % r] over rows (r, v, T),
@@ -614,10 +617,26 @@ def _reciprocity_tables(k: int, width: int):
     """
     if not k:
         return None
-    fac = factorint(abs(k))
-    if any(r >= 5 and r * r > width for r in fac):
+    n = abs(k)
+    v2 = (n & -n).bit_length() - 1
+    n >>= v2
+    v3 = 0
+    while n % 3 == 0:
+        n //= 3
+        v3 += 1
+    # odd r from 5 up: a composite r finds its primes divided out
+    fac, room, r = {}, width, 5
+    while n > 1 and r * r <= room:
+        v = 0
+        while n % r == 0:
+            n //= r
+            v += 1
+        if v:
+            fac[r] = v
+            room -= r * r
+        r += 2
+    if n > 1:  # its least prime r has r^2 > room
         return None
-    v2, v3 = fac.pop(2, 0), fac.pop(3, 0)
     # how many of the quadratic factors are -1 exactly when p = 3 (mod 4)
     odd4 = sum(v for r, v in fac.items() if r % 4 == 3) + v3 + (k < 0)
     by_p = tuple(
@@ -649,8 +668,8 @@ def cm_j0_counts(k: int, lo: int, flags: bytearray) -> dict[int, int]:
     c = 2a + b, since 4 N = c^2 + 3 b^2; a prime norm is counted at its
     primary, with no Cornacchia step and no primality test.  The symbol
     (4k/pi)_6 = w^e comes from _reciprocity_tables, by lookups on pi mod
-    the primes of 6k, unless a prime of k is too large for the window;
-    then _count_at_primary takes it by a pow at each prime.
+    the primes of 6k, unless the primes of k are too large for the
+    window; then _count_at_primary takes it by a pow at each prime.
     """
     hi = lo + len(flags)
     first = lo + (2 - lo) % 3  # the least n >= lo with n = 2 (mod 3)

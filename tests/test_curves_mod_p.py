@@ -420,8 +420,11 @@ class TestCmReciprocity:
         self._check(k, 10**6, 10**6 + (1 << 12), route="pow")
 
     def test_tables_up_to_the_window_width(self):
-        assert curves_mod_p._reciprocity_tables(-5 * 211, 211**2 - 1) is None
-        assert curves_mod_p._reciprocity_tables(-5 * 211, 211**2) is not None
+        width = 5**2 + 211**2
+        assert curves_mod_p._reciprocity_tables(-5 * 211, width - 1) is None
+        assert curves_mod_p._reciprocity_tables(-5 * 211, width) is not None
+        assert curves_mod_p._reciprocity_tables(-(5**3) * 211, width) is not None
+        assert curves_mod_p._reciprocity_tables(2**7 * 3**5, 0) is not None
 
     def test_table_route_calls_no_pow(self, monkeypatch):
         flags = prime_flags(10**6, 10**6 + (1 << 12))
