@@ -19,9 +19,10 @@ the number of points on the genus-4 curve
     C6: gamma z^6 (1 - gamma z^6) = delta x^3
 
 through #C6 = 18 #M_K^[1] + e(zeta, xi), and #C6 itself has an exact
-expression in unit-weighted traces of the primary generator.  All
-three routes (set enumeration, trace formula, brute-force point count)
-are implemented and must agree.
+expression in unit-weighted traces of the primary generator, so
+m_counts reads each ideal's class counts off the traces in O(1) steps,
+with no walk of its residue field.  All three routes (set enumeration,
+trace formula, brute-force point count) are implemented and must agree.
 """
 
 from __future__ import annotations
@@ -135,26 +136,6 @@ def _field_exponents(K: PrimeIdealK):
     return index, b"".join(rows)
 
 
-def _cyclotomic_numbers(K: PrimeIdealK, exps: bytes) -> Counter:
-    """Counts of the x != 0, 1 of the residue field of K by (exps of x,
-    exps of 1 - x), from _field_exponents: the cyclotomic numbers of
-    order 6."""
-    if K.kind == "split":
-        # 1 - x for x = 0, 1, ..., n - 1 is 1, 0, n - 1, ..., 2
-        complements = exps[1::-1] + exps[:1:-1]
-    else:
-        # 1 - (a + b w) = (1 - a) - b w: row 1 - a, read from b = 0 down
-        k = K.generator.a
-        rows = [exps[a * k : a * k + k] for a in range(k)]
-        complements = b"".join(
-            row[:1] + row[:0:-1] for row in (rows[(1 - a) % k] for a in range(k))
-        )
-    cyclotomic = Counter(zip(exps, complements))
-    for key in [key for key in cyclotomic if NON_UNIT in key]:
-        del cyclotomic[key]
-    return cyclotomic
-
-
 @lru_cache(maxsize=128)
 def _sextic_exponent_table(r: int) -> bytes:
     """For each residue a + b*w mod a prime r, the exponent of the
@@ -215,8 +196,9 @@ def m_counts(k: int) -> tuple[int, int, int]:
     over K of e * (lam/K)_6 and e * (lam(1-lam)/K)_3, with e the
     multiplicity of K's rational prime in k.  So the per-ideal class
     counts _m_K1_table(K), scaled by e, are convolved over Z/6 x Z/6:
-    sum N(K) steps to build them instead of rad(k)^2 for a scan.  Each
-    residue mod rad(k) lifts to (k / rad(k))^2 residues mod k.
+    the trace identity for #C6 gives them in O(1) steps per ideal,
+    instead of rad(k)^2 steps for a scan.  Each residue mod rad(k) lifts
+    to (k / rad(k))^2 residues mod k.
     """
     case = mk_case(k)
     fac = factorint(k)
@@ -351,11 +333,15 @@ def predicted_density(k: int) -> Fraction:
 @lru_cache(maxsize=512)
 def _m_K1_table(K: PrimeIdealK) -> dict[tuple[int, int], int]:
     """Counts of lam in the residue field of K by the pair of classes
-    ((lam/K)_6, (lam(1-lam)/K)_3)."""
-    table: Counter[tuple[int, int]] = Counter()
-    exps = _field_exponents(K)[1]
-    for (e6, e6c), count in _cyclotomic_numbers(K, exps).items():
-        table[e6, 2 * (e6 + e6c) % 6] += count
+    ((lam/K)_6, (lam(1-lam)/K)_3), from #C6 = 18 #M_K^[1] + e: the trace
+    formula gives every count in O(1) steps, with no walk of the field."""
+    classes = [(Unit6(z), Unit6(x)) for z in range(6) for x in (0, 2, 4)]
+    table = {}
+    for (zeta, xi), n in zip(classes, _c6_counts_trace(classes, K)):
+        count, rest = divmod(n - e_term(zeta, xi), 18)
+        if rest:
+            raise ArithmeticError(f"#C6 - e is not 18 #M_K^[1] at {K.generator}")
+        table[zeta.exp, xi.exp] = count
     return table
 
 
@@ -469,7 +455,20 @@ def _c6_counts_bruteforce(pairs, K: PrimeIdealK) -> list[int]:
     e(delta) mod 3, and then each z has 3 points.
     """
     index, exps = _field_exponents(K)
-    cyclotomic = _cyclotomic_numbers(K, exps)
+    if K.kind == "split":
+        # 1 - x for x = 0, 1, ..., n - 1 is 1, 0, n - 1, ..., 2
+        complements = exps[1::-1] + exps[:1:-1]
+    else:
+        # 1 - (a + b w) = (1 - a) - b w: row 1 - a, read from b = 0 down
+        k = K.generator.a
+        rows = [exps[a * k : a * k + k] for a in range(k)]
+        complements = b"".join(
+            row[:1] + row[:0:-1] for row in (rows[(1 - a) % k] for a in range(k))
+        )
+    # the cyclotomic numbers of order 6: the x != 0, 1 by (e(x), e(1 - x))
+    cyclotomic = Counter(zip(exps, complements))
+    for key in [key for key in cyclotomic if NON_UNIT in key]:
+        del cyclotomic[key]
     counts = []
     for gamma, delta in pairs:
         gamma, delta = _coerce(gamma), _coerce(delta)

@@ -29,8 +29,9 @@ prime, and gives each inert prime of the range its p + 1; the sweep of
 a segment takes this route on y^2 = x^3 + k under the ``cm`` and
 ``auto`` backends, and the first route only for what the range does
 not hold.  The range route also takes the sextic symbol of 4k by
-reciprocity, from tables of pi modulo the primes of 6k, where the one
-prime route takes a modular power.
+reciprocity, from tables of pi modulo the primes of 6k, and a modular
+power only for the cofactor of k made of the primes too large for the
+window's tables; the one prime route takes a modular power of 4k.
 
 The ``auto`` choice has two rules.  :func:`count_points` sees only the
 reduction, so it takes the CM formula wherever that is y^2 = x^3 + k
@@ -147,7 +148,6 @@ class CurveQ:
         return (self.a1, self.a2, self.a3, self.a4) == (0, 0, 0, 0)
 
     def __str__(self) -> str:
-        terms = []
         lhs = "y^2"
         if self.a1:
             lhs += f" + {self.a1}*x*y" if self.a1 > 0 else f" - {-self.a1}*x*y"
@@ -159,8 +159,7 @@ class CurveQ:
                 sep = " + " if c > 0 else " - "
                 coef = abs(c)
                 rhs += sep + (f"{coef}*{mono}" if mono else f"{coef}")
-        terms.append(f"{lhs} = {rhs}")
-        return terms[0]
+        return f"{lhs} = {rhs}"
 
 
 @dataclass(frozen=True)
@@ -185,12 +184,8 @@ class CurveFp:
         """Coefficients (A, B) with y^2 = x^3 + Ax + B isomorphic to self.
 
         Valid for p >= 5: this is the classical substitution through the
-        c-invariants, A = -27 c4, B = -54 c6, derived once per reduction.
+        c-invariants, A = -27 c4, B = -54 c6.
         """
-        return self._short_model
-
-    @cached_property
-    def _short_model(self) -> tuple[int, int]:
         if self.p < 5:
             raise ValueError("no short model in characteristic 2 or 3")
         A, B = _short_coefficients(self.a1, self.a2, self.a3, self.a4, self.a6)
@@ -310,11 +305,6 @@ def count_points_naive(E: CurveFp) -> int:
     """O(p) point count; exact for any good reduction, p >= 2."""
     if not E.good:
         raise ValueError("bad reduction")
-    return _character_sum(E)
-
-
-def _character_sum(E: CurveFp) -> int:
-    """The naive count of a good reduction, also used by count_points_bsgs."""
     p = E.p
     if p < 5:
         return _count_tiny(E)
@@ -481,7 +471,7 @@ def count_points_bsgs(E: CurveFp) -> int:
         raise ValueError("bad reduction")
     p = E.p
     if p <= MESTRE_BOUND:
-        return _character_sum(E)
+        return count_points_naive(E)
     A, B = E.short_model()
     parity = 0 if two_division_roots(p, A, B) else 1
     H = isqrt(4 * p)
@@ -567,20 +557,23 @@ def _count_cm_j0(k: int, p: int) -> int:
 def _count_at_primary(k: int, p: int, a: int, b: int) -> int:
     """#E(F_p) on y^2 = x^3 + k from a primary pi = a + b w of norm p.
 
-    This is grossencharacter_j0 on bare integers: w = -a/b (mod pi), the
-    symbol (4k/pi)_6 = w^e where (4k)^((p-1)/6) = w^e (mod p), and
-    psi = -w^(-e) pi.  p must not divide 6k.
+    This is grossencharacter_j0 on bare integers: psi = -w^(-e) pi with
+    (4k/pi)_6 = w^e.  p must not divide 6k.
     """
+    return p + 1 + _unit_trace(a, b, -_symbol_exponent(4 * k, p, a, b))
+
+
+def _symbol_exponent(x: int, p: int, a: int, b: int) -> int:
+    """The e with (x/pi)_6 = w^e for pi = a + b w of prime norm p not
+    dividing x: w = -a/b (mod pi), and x^((p-1)/6) = w^e (mod p)."""
     w = -a * pow(b, -1, p) % p
-    s = pow(4 * k, (p - 1) // 6, p)
+    s = pow(x, (p - 1) // 6, p)
     t = 1
     for e in range(6):
         if t == s:
-            break
+            return e
         t = t * w % p
-    else:
-        raise ArithmeticError(f"{a}+{b}*w is not a primary prime over {p}")
-    return p + 1 + _unit_trace(a, b, -e)
+    raise ArithmeticError(f"{a}+{b}*w is not a primary prime over {p}")
 
 
 def _unit_trace(a: int, b: int, j: int) -> int:
@@ -591,32 +584,31 @@ def _unit_trace(a: int, b: int, j: int) -> int:
 
 def _reciprocity_tables(k: int, width: int):
     """Tables that give e in (4k/pi)_6 = w^e from pi = a + b w modulo the
-    primes of 6k, for a primary pi whose norm p does not divide 6k; None
-    when the squares r^2 of the primes r >= 5 of k sum past width, so
-    that the tables of a window of that width hold no more bytes than
-    its sieve.  A table takes a walk of O(r) steps and r^2 bytes of
-    slicing, well under what the pow route spends on the split primes
-    of such a window; k is split by trial division up to that bound.
+    primes of 6k, for a primary pi whose norm p does not divide 6k.  The
+    primes r >= 5 of k get a table each, from the least up, while their
+    squares r^2 sum to at most width, so that the tables of a window of
+    that width hold no more bytes than its sieve; k is split by trial
+    division up to that bound.  A table takes a walk of O(r) steps and
+    r^2 bytes of slicing.  The primes of k that do not fit are left in
+    the cofactor m.
 
-    Returns (by_p, by_ab, rows), and e = by_p[p % 72] + by_ab[b % 2][(a +
-    b) % 18] + the sum of v T[(a % r) r + b % r] over rows (r, v, T),
-    mod 6.  The symbol is a product over the prime powers of 4k, and
-    each factor is a reciprocity law (Ireland and Rosen, ch. 5 and ch. 9
-    sec. 3-4).  With u = w^2, a cubic symbol u^y adds 4y to e, and a
-    quadratic symbol -1 adds 3:
+    Returns (by_p, by_ab, rows, m), and e = by_p[p % 72] + by_ab[b % 2][(a
+    + b) % 18] + the sum of v T[(a % r) r + b % r] over rows (r, v, T) +
+    the exponent of (m/pi)_6, mod 6.  The symbol is a product over the
+    prime powers of 4k, and each factor but (m/pi)_6 is a reciprocity law
+    (Ireland and Rosen, ch. 5 and ch. 9 sec. 3-4).  With u = w^2, a cubic
+    symbol u^y adds 4y to e, and a quadratic symbol -1 adds 3:
     - r >= 5 with r^v || k: (r/pi)_3 = (pi/r)_3 and (r/p) = (p/r), times
       -1 when r = p = 3 (mod 4); T = cm_density._sextic_exponent_table(r)
       holds both symbols of pi mod r;
     - 2^(v2 + 2): (2/pi)_3 = (pi/2)_3 = u^c2, the cube root of unity
       = pi (mod 2), so c2 = 0, 2, 1 at (a, b) = (1, 0), (0, 1), (1, 1)
       (mod 2), and (2/p) = -1 iff p = +-3 (mod 8);
-    - 3^v3: 3 = -u^2 (1 - u)^2, so (3/pi)_3 = u^(2 (p-1)/3 + 4m), from
-      (u/pi)_3 = u^((p-1)/3) and the supplement ((1 - u)/pi)_3 = u^(2m)
-      with m = (a + b + 1)/3, and (3/p) = -1 iff p = 3 (mod 4);
+    - 3^v3: 3 = -u^2 (1 - u)^2, so (3/pi)_3 = u^(2 (p-1)/3 + 4j), from
+      (u/pi)_3 = u^((p-1)/3) and the supplement ((1 - u)/pi)_3 = u^(2j)
+      with j = (a + b + 1)/3, and (3/p) = -1 iff p = 3 (mod 4);
     - the sign: (-1/pi)_6 = (-1)^((p-1)/6) is -1 iff p = 3 (mod 4).
     """
-    if not k:
-        return None
     n = abs(k)
     v2 = (n & -n).bit_length() - 1
     n >>= v2
@@ -635,8 +627,6 @@ def _reciprocity_tables(k: int, width: int):
             fac[r] = v
             room -= r * r
         r += 2
-    if n > 1:  # its least prime r has r^2 > room
-        return None
     # how many of the quadratic factors are -1 exactly when p = 3 (mod 4)
     odd4 = sum(v for r, v in fac.items() if r % 4 == 3) + v3 + (k < 0)
     by_p = tuple(
@@ -654,7 +644,7 @@ def _reciprocity_tables(k: int, width: int):
         for b2 in (0, 1)
     )
     rows = [(r, v, _sextic_exponent_table(r)) for r, v in fac.items()]
-    return by_p, by_ab, rows
+    return by_p, by_ab, rows, n  # the primes of n have r^2 > room
 
 
 def cm_j0_counts(k: int, lo: int, flags: bytearray) -> dict[int, int]:
@@ -668,8 +658,9 @@ def cm_j0_counts(k: int, lo: int, flags: bytearray) -> dict[int, int]:
     c = 2a + b, since 4 N = c^2 + 3 b^2; a prime norm is counted at its
     primary, with no Cornacchia step and no primality test.  The symbol
     (4k/pi)_6 = w^e comes from _reciprocity_tables, by lookups on pi mod
-    the primes of 6k, unless the primes of k are too large for the
-    window; then _count_at_primary takes it by a pow at each prime.
+    the primes of 6k, times (m/pi)_6 for the cofactor m of the primes of
+    k too large for the window's tables, by one modular power when
+    m > 1.
     """
     hi = lo + len(flags)
     first = lo + (2 - lo) % 3  # the least n >= lo with n = 2 (mod 3)
@@ -678,9 +669,7 @@ def cm_j0_counts(k: int, lo: int, flags: bytearray) -> dict[int, int]:
         for n in compress(range(first, hi, 3), flags[first - lo :: 3])
         if (6 * k) % n
     }
-    tables = _reciprocity_tables(k, len(flags))
-    if tables is not None:
-        by_p, by_ab, rows = tables
+    by_p, by_ab, rows, m = _reciprocity_tables(k, len(flags))
     for b in range(3, isqrt((4 * hi - 1) // 3) + 1, 3):
         t = 3 * b * b
         low = 4 * lo - t  # c^2 ranges over [low, 4 hi - t)
@@ -688,9 +677,8 @@ def cm_j0_counts(k: int, lo: int, flags: bytearray) -> dict[int, int]:
         c_max = isqrt(4 * hi - t - 1)
         # c = 1 (mod 3) and c = b (mod 2): a residue class mod 6, r or -r
         r = 1 if b & 1 else 4
-        if tables is not None:
-            by_a = by_ab[b & 1]
-            rows_b = [(q, v, T[b % q :: q]) for q, v, T in rows]
+        by_a = by_ab[b & 1]
+        rows_b = [(q, v, T[b % q :: q]) for q, v, T in rows]
         for c in chain(
             range(c_min + (r - c_min) % 6, c_max + 1, 6),
             range(-c_min - (-c_min - r) % 6, -c_max - 1, -6),
@@ -698,12 +686,11 @@ def cm_j0_counts(k: int, lo: int, flags: bytearray) -> dict[int, int]:
             n = (c * c + t) >> 2
             if flags[n - lo] and (6 * k) % n:
                 a = (c - b) >> 1
-                if tables is None:
-                    counts[n] = _count_at_primary(k, n, a, b)
-                    continue
                 e = by_p[n % 72] + by_a[(a + b) % 18]
                 for q, v, row in rows_b:
                     e += v * row[a % q]
+                if m > 1:
+                    e += _symbol_exponent(m, n, a, b)
                 counts[n] = n + 1 + _unit_trace(a, b, -e)
     return counts
 
@@ -720,10 +707,8 @@ def count_points(E: CurveFp, backend: str = "auto") -> int:
     "auto" picks by the curve: the CM formula when the reduction is
     y^2 = x^3 + k (every good prime is >= 5 there), else BSGS, which
     counts naively up to MESTRE_BOUND.  E.p is taken to be prime, as
-    reduce_curve checks; no backend tests it again.
+    reduce_curve checks, and good reduction is checked by each backend.
     """
-    if not E.good:
-        raise ValueError("bad reduction")
     if backend not in BACKENDS:
         raise ValueError(f"unknown backend {backend!r}")
     if backend == "naive":

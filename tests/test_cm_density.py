@@ -6,6 +6,7 @@ the closed-form expressions; the C6 point counts are checked three
 independent ways (trace formula, 18-to-1 orbit count, brute force).
 """
 
+from collections import Counter
 from fractions import Fraction
 from math import prod
 
@@ -23,6 +24,7 @@ from ecaliquot.cm_density import (
     m_counts_formula,
     m_K1_sub,
     NON_UNIT,
+    _field_exponents,
     _in_m,
     _m_K1_table,
     _residue_scan,
@@ -235,6 +237,16 @@ class TestClosedForms:
         assert m_counts_formula(k)[case] == n_m
         assert m1_counts_formula(k)[case] == n_m1
 
+    @pytest.mark.parametrize(
+        "k", [65537, 1000003, 10**9 + 7, 10**12 + 39, 2**61 - 1]
+    )
+    def test_formulas_match_convolution_at_large_primes(self, k):
+        # the residue fields have up to k^2 elements; no walk visits them
+        case = mk_case(k)
+        _, n_m, n_m1 = m_counts(k)
+        assert m_counts_formula(k)[case] == n_m
+        assert m1_counts_formula(k)[case] == n_m1
+
     def test_formula_rejects_composite(self):
         with pytest.raises(ValueError):
             m_counts_formula(35)
@@ -295,15 +307,32 @@ IDEAL_PRIMES = [5, 7, 11, 13, 17, 19, 23, 31]
 
 
 class TestC6Counts:
-    @pytest.mark.parametrize("r", IDEAL_PRIMES)
+    @pytest.mark.parametrize(
+        "r", [r for r in range(5, 600) if isprime(r) and r % 3]
+    )
     def test_trace_equals_orbit_count(self, r):
+        # the class counts by a walk of each residue field, against the
+        # trace formula and _m_K1_table, which reads them off it
         for K in ideals_above(r):
+            index, exps = _field_exponents(K)
+            if K.kind == "split":
+                field = [(x, 0) for x in range(K.residue_norm)]
+            else:
+                r = K.generator.a
+                field = [(a, b) for a in range(r) for b in range(r)]
+            walk = Counter()
+            for a, b in field:
+                e, ec = exps[index(a, b)], exps[index(1 - a, -b)]
+                if NON_UNIT not in (e, ec):
+                    walk[e, 2 * (e + ec) % 6] += 1
             for ze in range(6):
                 for xe in (0, 2, 4):
                     zeta, xi = Unit6(ze), Unit6(xe)
-                    assert c6_count_trace(zeta, xi, K) == 18 * m_K1_sub(
-                        zeta, xi, K
-                    ) + e_term(zeta, xi)
+                    n = walk[ze, xe]
+                    assert m_K1_sub(zeta, xi, K) == n, (K, ze, xe)
+                    assert c6_count_trace(zeta, xi, K) == 18 * n + e_term(
+                        zeta, xi
+                    )
 
     def test_list_form_equals_one_class_form_above_primes_below_600(self):
         # and the four unit products of the trace formula, taken literally

@@ -384,14 +384,14 @@ class TestCmRange:
 
 
 class TestCmReciprocity:
-    """cm_j0_counts' table route to (4k/pi)_6 against _count_at_primary's
-    pow route, at every split prime of its windows."""
+    """cm_j0_counts' tables and cofactor power for (4k/pi)_6 against
+    _count_at_primary's pow of 4k, at every split prime of its windows."""
 
     @staticmethod
-    def _check(k, lo, hi, route="tables"):
+    def _check(k, lo, hi, cofactor=1):
         flags = prime_flags(lo, hi)
-        tables = curves_mod_p._reciprocity_tables(k, len(flags))
-        assert (tables is None) == (route == "pow"), (k, lo, hi)
+        m = curves_mod_p._reciprocity_tables(k, len(flags))[3]
+        assert m == cofactor, (k, lo, hi)
         counts = cm_j0_counts(k, lo, flags)
         split = [p for p in counts if p % 3 == 1]
         assert split or hi - lo < 100
@@ -416,15 +416,36 @@ class TestCmReciprocity:
 
     @pytest.mark.parametrize("k", [1000003, 2 * 65537, 5 * 211])
     def test_large_prime_of_k_takes_the_pow_route(self, k):
-        self._check(k, 2, 3000, route="pow")
-        self._check(k, 10**6, 10**6 + (1 << 12), route="pow")
+        m = {1000003: 1000003, 2 * 65537: 65537, 5 * 211: 211}[k]
+        self._check(k, 2, 3000, cofactor=m)
+        self._check(k, 10**6, 10**6 + (1 << 12), cofactor=m)
+
+    # a table for 5 or 7 and the large prime in the cofactor, and 251
+    # whose table fits a window of width 2^16 but not one of 2^12
+    @pytest.mark.parametrize(
+        "k, m, width",
+        [
+            (5 * 7 * 1000003, 1000003, 1 << 12),
+            (2**5 * 3**4 * 7 * 65537, 65537, 1 << 12),
+            (-(5**3) * 211, 211, 1 << 12),
+            (7 * 251, 251, 1 << 12),
+            (7 * 251, 1, 1 << 16),
+        ],
+    )
+    @pytest.mark.parametrize("lo", [10**6 - 1234, 10**8 + 4321])
+    def test_mixed_k_near_1e6_and_1e8(self, k, m, width, lo):
+        self._check(k, lo, lo + width, cofactor=m)
 
     def test_tables_up_to_the_window_width(self):
         width = 5**2 + 211**2
-        assert curves_mod_p._reciprocity_tables(-5 * 211, width - 1) is None
-        assert curves_mod_p._reciprocity_tables(-5 * 211, width) is not None
-        assert curves_mod_p._reciprocity_tables(-(5**3) * 211, width) is not None
-        assert curves_mod_p._reciprocity_tables(2**7 * 3**5, 0) is not None
+
+        def cofactor(k, width):
+            return curves_mod_p._reciprocity_tables(k, width)[3]
+
+        assert cofactor(-5 * 211, width - 1) == 211
+        assert cofactor(-5 * 211, width) == 1
+        assert cofactor(-(5**3) * 211, width) == 1
+        assert cofactor(2**7 * 3**5, 0) == 1
 
     def test_table_route_calls_no_pow(self, monkeypatch):
         flags = prime_flags(10**6, 10**6 + (1 << 12))

@@ -858,6 +858,15 @@ class TestCli:
         assert [r["m1"] for r in rows] == [4, 13]
         assert [r["case"] for r in rows] == ["b", "d"]
 
+    def test_mktable_row_with_a_large_inert_prime(self):
+        # 458759 = 7 * 65537, and Z[w] / 65537 Z[w] has 65537^2 elements
+        result = self.invoke("mktable", "--k", "458759")
+        assert result.exit_code == 0
+        assert result.stdout.splitlines()[1] == (
+            "458759,d,107377459175,107377459175,35792792231,"
+            "35792792231/107377459175,0.33333618159716527"
+        )
+
     def test_mktable_rejects_bad_k(self):
         result = self.runner.invoke(main, ["mktable", "--k", "6"])
         assert result.exit_code == 1
