@@ -60,24 +60,15 @@ def sqrt_mod_prime(a: int, p: int) -> int:
     return r
 
 
-def small_primes(n: int) -> list[int]:
-    """All primes <= n by a plain sieve."""
-    if n < 2:
-        return []
-    sieve = bytearray([1]) * (n + 1)
-    sieve[0] = sieve[1] = 0
-    for i in range(2, isqrt(n) + 1):
-        if sieve[i]:
-            sieve[i * i :: i] = bytearray(len(sieve[i * i :: i]))
-    return [i for i in range(2, n + 1) if sieve[i]]
-
-
 def prime_flags(lo: int, hi: int) -> bytearray:
-    """A segmented sieve: flags[n - lo] is 1 iff n is prime (2 <= lo <= n < hi)."""
-    base = small_primes(isqrt(hi - 1))
+    """A segmented sieve: flags[n - lo] is 1 iff n is prime (2 <= lo <= n < hi).
+
+    The base primes q <= isqrt(hi - 1) come from this same sieve on
+    [2, isqrt(hi - 1) + 1), one level down; below hi = 5 there are none.
+    """
     width = hi - lo
     sieve = bytearray([1]) * width
-    for q in base:
+    for q in primes_in_range(2, isqrt(hi - 1) + 1):
         start = max(q * q, (lo + q - 1) // q * q)
         if start < hi:
             sieve[start - lo :: q] = bytearray(len(range(start - lo, width, q)))

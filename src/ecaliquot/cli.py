@@ -397,8 +397,6 @@ def c6check(norm_bound, out_format):
     zetas = [Unit6(e) for e in range(6)]
     xis = [Unit6(e) for e in (0, 2, 4)]
     for r in primes_in_range(5, norm_bound + 1):
-        if r % 3 == 0:
-            continue
         for K in ideals_above(r):
             if K.residue_norm > norm_bound:
                 continue

@@ -143,23 +143,26 @@ def _sextic_exponent_table(r: int) -> bytes:
     NON_UNIT sentinel.  Indexed by a * r + b."""
     if r < 5 or r % 3 == 0:
         raise ValueError("residue tables require a prime r >= 5, r != 3")
-    ideals = ideals_above(r)
-    if len(ideals) == 1:  # inert: the residue field is indexed a * r + b
-        return _field_exponents(ideals[0])[1]
-    # one byte string per ideal K, over a + b w0 with w0 = w (mod K):
-    # row a reads the exponents of K's field from a in steps of w0
-    digits = []
-    for K in ideals:
-        w0 = K.omega_residue()
-        ext = _field_exponents(K)[1] * (r + 1)
-        row = b"".join(ext[a : a + r * w0 : w0] for a in range(r))
-        row = row.replace(bytes([NON_UNIT]), bytes([6]))
-        digits.append(int.from_bytes(row, "big"))
+    K = ideals_above(r)[0]
+    exps = _field_exponents(K)[1]
+    if K.kind == "inert":  # the residue field is indexed a * r + b
+        return exps
+    # x = a + b w is a + b w0 mod K, with w0 = w (mod K): row a of e1 =
+    # (x/K)_6 reads K's exponents from a in steps of w0.  The conjugate
+    # ideal needs no walk of its own, as (x/Kbar)_6 = (xbar/K)_6^(-1) and
+    # xbar = a + b (1 - w) is a + b (1 - w0) mod K: row a of e2 = (xbar/K)_6
+    # reads the same exponents in steps of r + 1 - w0.
+    w0 = K.omega_residue()
+    ext = exps * (r + 1)
     # 7 e1 + e2 in each byte, with no carry as e1, e2 <= 6 (6 for NON_UNIT)
-    pairs = (7 * digits[0] + digits[1]).to_bytes(r * r, "big")
-    return pairs.translate(
+    digits = 0
+    for step in (w0, r + 1 - w0):
+        row = b"".join(ext[a : a + r * step : step] for a in range(r))
+        row = row.replace(bytes([NON_UNIT]), bytes([6]))
+        digits = 7 * digits + int.from_bytes(row, "big")
+    return digits.to_bytes(r * r, "big").translate(
         bytes(
-            NON_UNIT if 6 in divmod(c, 7) else sum(divmod(c, 7)) % 6
+            NON_UNIT if 6 in divmod(c, 7) else (c // 7 - c % 7) % 6
             for c in range(256)
         )
     )

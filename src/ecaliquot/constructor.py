@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from math import isqrt
 
 from .aliquot import AliquotCycle, verify_cycle
 from .arith import crt, isprime, nextprime, sqrt_mod_prime
@@ -74,14 +73,10 @@ def find_prime_window(length: int, start_hint: int = 5) -> PrimeWindow:
         run = [s]
         while len(run) < length:
             run.append(nextprime(run[-1]))
-        arranged = _zigzag(run)
-        ok = all(
-            (p + 1 - arranged[(i + 1) % length]) ** 2 <= 4 * p
-            for i, p in enumerate(arranged)
-        )
-        if ok:
-            return PrimeWindow(arranged)
-        s = nextprime(s)
+        try:
+            return PrimeWindow(_zigzag(run))
+        except ValueError:  # a hop breaks the Hasse bound
+            s = nextprime(s)
 
 
 def curve_with_order(p: int, N: int) -> CurveFp:

@@ -144,7 +144,7 @@ class ExperimentConfig:
     def mordell_k(self) -> int | None:
         """The k of y^2 = x^3 + k, when the refined statistics apply."""
         E = self.resolved_curve()
-        return E.a6 if E.is_mordell() and E.a6 != 0 else None
+        return E.a6 if E.is_mordell() else None
 
 
 @dataclass(frozen=True)
@@ -242,11 +242,12 @@ def _sweep_segment(task: tuple) -> dict:
         else:
             continue
         record["n_prime"] += 1
-        if p < 5:
+        # q | disc = -432 k^2 on y^2 = x^3 + k exactly when q | 6k
+        if p < 5 or counter.disc % q == 0:
             continue
-        if q > p and counter.disc % q and counter.image(q) == p:
+        if q > p and counter.image(q) == p:
             record["pairs"].append(list(_verified(E, (p, q))))
-        if k is not None and (6 * k) % q != 0:
+        if k is not None:
             record["n_k"] += 1
             if q + 1 - counter(q) in (q + 1 - p, p - q - 1):
                 record["n_type1"] += 1

@@ -21,7 +21,8 @@ from ecaliquot.arith import (
     factorint,
     isprime,
     nextprime,
-    small_primes,
+    prime_flags,
+    primes_in_range,
 )
 
 # Composites that pass Miller--Rabin to many bases: 2047 to base 2,
@@ -39,9 +40,35 @@ CARMICHAEL = (561, 41041, 825265, 321197185, 5394826801)
 MERSENNE_PRIMES = (2**61 - 1, 2**89 - 1, 2**127 - 1)
 
 
+class TestSieve:
+    @staticmethod
+    def _check_window(lo, hi):
+        primes = list(sympy.primerange(lo, hi))
+        assert primes_in_range(lo, hi) == primes
+        flags = prime_flags(lo, hi)
+        assert len(flags) == hi - lo
+        assert [lo + i for i, flag in enumerate(flags) if flag] == primes
+
+    def test_every_window_below_130(self):
+        # prime_flags takes its base primes from itself on [2, isqrt(hi - 1)
+        # + 1): hi = 3 and 4 have none, hi = 5 is the first with 2 (for 4)
+        # and hi = 10 the first with 3 (for 9).
+        for hi in range(3, 131):
+            for lo in range(2, hi):
+                self._check_window(lo, hi)
+
+    def test_random_windows_below_1e12(self):
+        # lo below 10^e for e = 3..12 alike, so that every depth of base
+        # primes, up to 10^6, is sieved about as often.
+        rng = random.Random(12)
+        for _ in range(300):
+            lo = rng.randrange(2, 10 ** rng.randrange(3, 13))
+            self._check_window(lo, lo + rng.randrange(1, 5000))
+
+
 class TestIsprime:
     def test_exhaustive_against_the_sieve(self):
-        primes = set(small_primes(10**5))
+        primes = set(primes_in_range(2, 10**5 + 1))
         assert [n for n in range(-3, 10**5 + 1) if isprime(n)] == sorted(primes)
 
     @pytest.mark.parametrize("n", STRONG_PSEUDOPRIMES + CARMICHAEL)
@@ -140,7 +167,7 @@ class TestFactorint:
 class TestCrt:
     def test_against_sympy(self):
         rng = random.Random(7)
-        pool = small_primes(2000)
+        pool = primes_in_range(2, 2001)
         for _ in range(300):
             moduli = rng.sample(pool, rng.randrange(1, 7))
             residues = [rng.randrange(-10**6, 10**6) for _ in moduli]

@@ -12,6 +12,7 @@ from math import prod
 
 import pytest
 
+from ecaliquot import cm_density
 from ecaliquot.cm_density import (
     _c6_counts_trace,
     c6_count_bruteforce,
@@ -214,7 +215,7 @@ class TestCountByConvolution:
                     assert table[a * r + b] == units[s]
 
     @pytest.mark.parametrize(
-        "r", [r for r in range(5, 100) if r % 3 == 1 and isprime(r)]
+        "r", [r for r in range(5, 300) if r % 3 == 1 and isprime(r)]
     )
     def test_split_table_is_the_sum_over_both_ideals(self, r):
         pair = ideals_above(r)
@@ -227,6 +228,21 @@ class TestCountByConvolution:
                 else:
                     want = sum(sextic_symbol(lam, K).exp for K in pair) % 6
                     assert table[a * r + b] == want
+
+    @pytest.mark.parametrize("r", [103, 101])  # split, inert
+    def test_table_walks_one_residue_field(self, r, monkeypatch):
+        # A split r reads the conjugate ideal's symbols off the first
+        # ideal's field: (x/Kbar)_6 = (xbar/K)_6^(-1).
+        walked = []
+
+        def counting(K):
+            walked.append(K)
+            return _field_exponents(K)
+
+        monkeypatch.setattr(cm_density, "_field_exponents", counting)
+        _sextic_exponent_table.cache_clear()
+        _sextic_exponent_table(r)
+        assert walked == [ideals_above(r)[0]]
 
 
 class TestClosedForms:

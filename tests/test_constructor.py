@@ -3,7 +3,7 @@
 from math import isqrt
 
 import pytest
-from sympy import isprime, nextprime
+from sympy import isprime, nextprime, primerange
 
 from ecaliquot.aliquot import AliquotCycle, aliquot_cycles_up_to, verify_cycle
 from ecaliquot.arith import primes_in_range
@@ -51,6 +51,23 @@ class TestPrimeWindow:
     def test_start_hint_respected(self):
         w = find_prime_window(2, 100)
         assert min(w.primes) >= 100
+
+    def test_matches_the_literal_scan(self):
+        # The first run of L consecutive primes from max(5, hint) whose
+        # zigzag order keeps |p + 1 - next| <= 2 sqrt(p) at every cyclic hop.
+        primes = list(primerange(5, 1000))
+        for L in range(1, 31):
+            for hint in range(5, 201):
+                i = next(i for i, p in enumerate(primes) if p >= hint)
+                while True:
+                    run = primes[i : i + L]
+                    order = run[0::2] + run[1::2][::-1]
+                    hops = zip(order, order[1:] + order[:1])
+                    if all((p + 1 - q) ** 2 <= 4 * p for p, q in hops):
+                        break
+                    i += 1
+                assert len(run) == L
+                assert find_prime_window(L, hint).primes == tuple(order)
 
     def test_zigzag_structure(self):
         w = find_prime_window(6, 5)
