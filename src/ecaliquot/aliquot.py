@@ -471,7 +471,7 @@ def bad_trace(E: CurveQ, p: int) -> int:
 def _a_prime_power(E: CurveQ, p: int, e: int, backend: str) -> int:
     if not E.has_good_reduction(p):
         return bad_trace(E, p) ** e
-    ap = p + 1 - _Counter(E, backend)(p)
+    ap = p + 1 - count_points(_reduce(E, p), backend)
     prev, cur = 1, ap
     for _ in range(e - 1):
         prev, cur = cur, ap * cur - p * prev

@@ -106,7 +106,8 @@ def _sweep_options(fn):
         type=int,
         default=1,
         show_default=True,
-        help="Worker processes (results are identical for any count).",
+        help="Worker processes, at most one per segment "
+        "(results are identical for any count).",
     )(fn)
     fn = click.option(
         "--backend",

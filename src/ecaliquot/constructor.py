@@ -3,8 +3,11 @@
 The recipe: pick L consecutive primes whose zigzag arrangement turns
 every hop into a Hasse-admissible trace, realize each hop locally by a
 curve over F_{p_i} with exactly p_{i+1} points, and glue the local
-curves by the Chinese remainder theorem.  Disjoint prime windows allow
-several cycle lengths to be realized simultaneously by one curve.
+curves by the Chinese remainder theorem.  Each local curve comes from
+one seeded random search, which ends by Deuring's theorem: every
+Hasse-admissible order is taken by some short-form curve over F_p.
+Disjoint prime windows allow several cycle lengths to be realized
+simultaneously by one curve.
 """
 
 from __future__ import annotations
@@ -18,9 +21,9 @@ from .curves_mod_p import (
     CurveFp,
     CurveQ,
     count_points,
-    count_points_naive,
     ec_mul,
 )
+from .curves_mod_p import count_points_naive  # noqa: F401  (perfbench patches it)
 
 
 @dataclass(frozen=True)
@@ -82,35 +85,18 @@ def find_prime_window(length: int, start_hint: int = 5) -> PrimeWindow:
 def curve_with_order(p: int, N: int) -> CurveFp:
     """A short-form curve over F_p with exactly N points.
 
-    Requires p >= 5 and N in the Hasse interval; the search tries
-    seeded random coefficients, rejecting quickly via N * P != O on a
-    random point before paying for a full verified count.
+    Requires p >= 5 and N in the Hasse interval.  One search, seeded
+    by (p, N), draws coefficients (a, b), rejects quickly via
+    N * P != O on a random point, and pays for a full count only then.
+    It needs no bound: by Deuring's theorem every N with
+    |p + 1 - N| <= 2 sqrt(p) is the order of a curve over F_p, and for
+    p >= 5 every curve has a short model, so some (a, b) is drawn.
     """
     if p < 5 or not isprime(p):
         raise ValueError(f"{p} must be a prime >= 5")
     t = p + 1 - N
     if t * t > 4 * p:
         raise ValueError(f"no curve over F_{p} has {N} points (Hasse)")
-
-    if p < 100:
-        # The first (a, b) in lexicographic order, counting one curve of
-        # each class: the twist (a v^2, b v^3) has the same count for a
-        # square v, and 2p + 2 minus it for a non-square v.
-        squares = {v * v % p for v in range(1, p)}
-        counts: dict[tuple[int, int], int] = {}
-        for a in range(p):
-            for b in range(p):
-                if (4 * a * a * a + 27 * b * b) % p == 0:
-                    continue
-                n = counts.get((a, b))
-                if n is None:
-                    n = count_points_naive(CurveFp.short(p, a, b))
-                    for v in range(1, p):
-                        key = a * v * v % p, b * v * v * v % p
-                        counts[key] = n if v in squares else 2 * p + 2 - n
-                if n == N:
-                    return CurveFp.short(p, a, b)
-        raise ArithmeticError(f"no curve over F_{p} with {N} points")
 
     rng = random.Random(f"cwo:{p}:{N}")
     while True:

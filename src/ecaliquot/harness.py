@@ -346,6 +346,7 @@ def run_pair_sweep(cfg: ExperimentConfig) -> SweepReport:
 
     The result is independent of cfg.workers: the segment grid is fixed
     by (x_bound, segment_size) and segments are merged in grid order.
+    It starts at most one worker process per segment left to sweep.
     """
     start = time.monotonic()
     E = cfg.resolved_curve()
@@ -370,14 +371,15 @@ def run_pair_sweep(cfg: ExperimentConfig) -> SweepReport:
         if writer is not None:
             writer.append(record)
 
+    workers = min(cfg.workers, len(tasks))
     try:
-        if cfg.workers == 1 or len(tasks) <= 1:
+        if workers <= 1:
             for record in map(_sweep_segment, tasks):
                 note(record)
         else:
             from concurrent.futures import ProcessPoolExecutor
 
-            with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
+            with ProcessPoolExecutor(max_workers=workers) as pool:
                 for record in pool.map(_sweep_segment, tasks):
                     note(record)
     finally:

@@ -15,7 +15,6 @@ from ecaliquot.constructor import (
     find_prime_window,
 )
 from ecaliquot.curves_mod_p import (
-    CurveFp,
     CurveQ,
     count_points,
     count_points_naive,
@@ -84,23 +83,27 @@ class TestCurveWithOrder:
         E = curve_with_order(5, 5)
         assert count_points_naive(E) == 5
 
-    def test_small_primes_match_the_literal_scan(self):
-        # For every 5 <= p < 100 and every N of the Hasse window: the
-        # first (a, b) in lexicographic order whose naive count is N.
+    def test_every_small_hop_has_its_order(self):
+        # Every 5 <= p < 100 and every N of the Hasse window: by
+        # Deuring's theorem some curve has N points, so the search ends.
         for p in primes_in_range(5, 100):
-            first = {}
-            for a in range(p):
-                for b in range(p):
-                    if (4 * a**3 + 27 * b * b) % p:
-                        n = count_points_naive(CurveFp.short(p, a, b))
-                        first.setdefault(n, (a, b))
             for N in range(p + 1 - isqrt(4 * p), p + 2 + isqrt(4 * p)):
-                if N in first:
-                    E = curve_with_order(p, N)
-                    assert (E.a4, E.a6) == first[N], (p, N)
-                else:
-                    with pytest.raises(ArithmeticError):
-                        curve_with_order(p, N)
+                E = curve_with_order(p, N)
+                assert E.p == p and count_points_naive(E) == N, (p, N)
+
+    @pytest.mark.parametrize(
+        "p, N, a4, a6",
+        [
+            (101, 97, 11, 45),
+            (131, 149, 98, 123),
+            (229, 241, 114, 20),
+            (1009, 1050, 658, 410),
+            (10007, 10007, 4312, 3091),
+        ],
+    )
+    def test_seeded_curves_are_pinned(self, p, N, a4, a6):
+        E = curve_with_order(p, N)
+        assert (E.a1, E.a2, E.a3, E.a4, E.a6) == (0, 0, 0, a4, a6)
 
     def test_larger_prime_randomized(self):
         E = curve_with_order(1009, 1009 + 1 + 40)

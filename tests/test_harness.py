@@ -162,6 +162,36 @@ class TestSweepDeterminism:
         ]
         assert reports[0] == reports[1]
 
+    def test_pool_is_no_wider_than_the_segments(self, monkeypatch):
+        # A stub executor records its width and maps in this process,
+        # so the test starts no worker.
+        import concurrent.futures
+
+        widths = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                widths.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks):
+                return map(fn, tasks)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+        cfg = ExperimentConfig(k=2, x_bound=40, segment_size=16, workers=64)
+        assert len(_segment_grid(cfg.x_bound, cfg.segment_size)) == 3
+        report = run_pair_sweep(cfg)
+        assert widths == [3]
+        serial = run_pair_sweep(
+            ExperimentConfig(k=2, x_bound=40, segment_size=16, workers=1)
+        )
+        assert report == serial
+
     def test_segment_size_does_not_change_results(self):
         reports = [
             run_pair_sweep(
