@@ -28,12 +28,11 @@ counting backends.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from itertools import compress
 from math import isqrt
 
-from .arith import factorint, isprime, prime_flags, sqrt_mod_prime
+from .arith import factorint, isprime, prime_flags
 from .arith import primes_in_range  # noqa: F401  (perfbench patches it)
 from .curves_mod_p import (
     BACKENDS,
@@ -186,35 +185,31 @@ class AliquotCycle:
         return cls(primes[i:] + primes[:i])
 
 
-def _random_point(p: int, A: int, B: int, rng: random.Random):
-    """A point of y^2 = x^3 + Ax + B at an x drawn from rng."""
-    while True:
-        x = rng.randrange(p)
-        f = (x * x * x + A * x + B) % p
-        if f == 0:
-            return x, 0
-        if pow(f, (p - 1) // 2, p) == 1:
-            return x, sqrt_mod_prime(f, p)
-
-
 def _verify_step(E: CurveQ, p: int, N: int) -> bool:
     """Whether #E(F_p) = N, for a good prime p and a prime N.
 
     A prime-order certificate, independent of every counting backend:
-    N must lie in the Hasse window, and a seeded affine point P of the
-    short model must satisfy N P = O.  Then ord(P) = N, as N is prime
-    and P != O, and N is the only multiple of N in the window, which is
-    4 sqrt(p) < N wide; conversely #E(F_p) = N forces N P = O.  Only
-    p < 37 can have N <= 4 sqrt(p); those are counted exactly.
+    N must lie in the Hasse window, and N P = O must hold for the point
+    P = (x f, f^2) of y^2 = x^3 + A f^2 x + B f^3, the short model
+    twisted by f = x^3 + A x + B, at the first x where f is a nonzero
+    square.  That twist is isomorphic to E, so no square root is taken.
+    For p >= 37, N > 4 sqrt(p), the width of the window, so N P = O
+    with P != O gives ord(P) = N and N as the only multiple of N in
+    the window; conversely #E(F_p) = N forces N P = O.  Any point
+    would thus give the same verdict.  Below p = 37, where N <= 4 sqrt(p)
+    can occur, E is counted.
     """
     if (N - p - 1) ** 2 > 4 * p:
         return False
     Ep = _reduce(E, p)
-    if p < 5 or N * N <= 16 * p:
+    if p < 37:
         return count_points_naive(Ep) == N
     A, B = Ep.short_model()
-    P = _random_point(p, A, B, random.Random(f"verify:{A}:{B}:{p}"))
-    return ec_mul(p, A, N, P) is None
+    x, f = 0, B % p
+    while pow(f, (p - 1) // 2, p) != 1:
+        x += 1
+        f = (x * x * x + A * x + B) % p
+    return ec_mul(p, A * f * f % p, N, (x * f % p, f * f % p)) is None
 
 
 def verify_cycle(E: CurveQ, primes: tuple[int, ...]) -> bool:
@@ -500,7 +495,7 @@ def type_n_step(E: CurveQ, n: int, backend: str = "auto") -> int:
     result = 1
     for p, e in factorint(n).items():
         if E.has_good_reduction(p):
-            cp = p + 1 - _a_prime_power(E, p, 1, backend)
+            cp = count_points(_reduce(E, p), backend)
         else:
             cp = p - bad_trace(E, p)
         result *= p ** (e - 1) * cp

@@ -25,41 +25,6 @@ _MR_BASES = (
 _FACTOR_TRIAL_BOUND = 1 << 10
 
 
-def sqrt_mod_prime(a: int, p: int) -> int:
-    """A square root of a mod p; a must be a quadratic residue (or 0)."""
-    a %= p
-    if a == 0:
-        return 0
-    if p == 2:
-        return a
-    if p % 4 == 3:
-        return pow(a, (p + 1) // 4, p)
-    if p % 8 == 5:
-        x = pow(a, (p + 3) // 8, p)
-        if x * x % p != a:
-            x = x * pow(2, (p - 1) // 4, p) % p
-        return x
-    # Tonelli--Shanks for p = 1 mod 8.
-    q, s = p - 1, 0
-    while q % 2 == 0:
-        q //= 2
-        s += 1
-    z = 2
-    while pow(z, (p - 1) // 2, p) != p - 1:
-        z += 1
-    m, c = s, pow(z, q, p)
-    t, r = pow(a, q, p), pow(a, (q + 1) // 2, p)
-    while t != 1:
-        t2, i = t * t % p, 1
-        while t2 != 1:
-            t2 = t2 * t2 % p
-            i += 1
-        b = pow(c, 1 << (m - i - 1), p)
-        m, c = i, b * b % p
-        t, r = t * c % p, r * b % p
-    return r
-
-
 def prime_flags(lo: int, hi: int) -> bytearray:
     """A segmented sieve: flags[n - lo] is 1 iff n is prime (2 <= lo <= n < hi).
 

@@ -209,8 +209,10 @@ def pairs(curve, k, x_bound, workers, backend, checkpoint, out_format):
 def cycles(curve, k, x_bound, lengths, backend, out_format):
     """List aliquot cycles of the given lengths, smallest prime <= X.
 
-    Every reported cycle has already been re-verified by an independent
-    point counting route; a failed recount is an error (status 1).
+    Every reported cycle has already been re-verified by a prime-order
+    certificate that shares no code with the counting backends (it
+    counts points only below p = 37); a failed check is an error
+    (status 1).
     """
     E = _resolve_curve(curve, k)
     wanted = _parse_ints(lengths, "--lengths")

@@ -16,7 +16,7 @@ import random
 from dataclasses import dataclass
 
 from .aliquot import AliquotCycle, verify_cycle
-from .arith import crt, isprime, nextprime, sqrt_mod_prime
+from .arith import crt, isprime, nextprime
 from .curves_mod_p import (
     CurveFp,
     CurveQ,
@@ -86,8 +86,12 @@ def curve_with_order(p: int, N: int) -> CurveFp:
     """A short-form curve over F_p with exactly N points.
 
     Requires p >= 5 and N in the Hasse interval.  One search, seeded
-    by (p, N), draws coefficients (a, b), rejects quickly via
-    N * P != O on a random point, and pays for a full count only then.
+    by (p, N), draws coefficients (a, b) and an x with f = x^3 + a x + b
+    a square, rejects quickly via N P != O for P = (x f, f^2) on
+    y^2 = x^3 + a f^2 x + b f^3, and pays for a full count only then.
+    That model is isomorphic to the curve when f = u^2 != 0, by
+    (x, y) -> (f x, u^3 y); at f = 0, P = (0, 0) has order 2, as (x, 0)
+    does on the curve, so no square root is needed.
     It needs no bound: by Deuring's theorem every N with
     |p + 1 - N| <= 2 sqrt(p) is the order of a curve over F_p, and for
     p >= 5 every curve has a short model, so some (a, b) is drawn.
@@ -104,13 +108,12 @@ def curve_with_order(p: int, N: int) -> CurveFp:
         b = rng.randrange(p)
         if (4 * a * a * a + 27 * b * b) % p == 0:
             continue
-        # Quick rejection on a random point.
+        # Quick rejection on the point at a random x, twisted by f.
         x = rng.randrange(p)
         f = (x * x * x + a * x + b) % p
         if pow(f, (p - 1) // 2, p) == p - 1:
             continue  # no point with this x; resample curve
-        P = (x, sqrt_mod_prime(f, p))
-        if ec_mul(p, a, N, P) is not None:
+        if ec_mul(p, a * f * f % p, N, (x * f % p, f * f % p)) is not None:
             continue
         E = CurveFp.short(p, a, b)
         if count_points(E) == N:
@@ -143,8 +146,8 @@ def build_cycle_curve(
 
     Windows for the different lengths are taken disjoint (each search
     starts past the previous window), every local order is realized by
-    curve_with_order, and the CRT glue is re-verified by independent
-    point counts before returning.
+    curve_with_order, and the CRT glue is re-verified by verify_cycle's
+    prime-order certificate before returning.
     """
     if not lengths or any(L < 1 for L in lengths):
         raise ValueError("lengths must be positive")

@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .arith import factorint, isprime, sqrt_mod_prime
+from .arith import factorint, isprime
 
 
 @dataclass(frozen=True)
@@ -238,21 +238,26 @@ def primary_associate(x: EisensteinInt) -> tuple[EisensteinInt, Unit6]:
 
 
 def _cornacchia_3(p: int) -> tuple[int, int]:
-    """Solve x^2 + 3*y^2 = p for a prime p = 1 mod 3 (Cornacchia; -3 is
-    a residue mod such p, so it always succeeds)."""
-    r = sqrt_mod_prime(-3, p)
-    if r * r % p == p - 3:
-        if 2 * r < p:
-            r = p - r
-        a, b = p, r
-        limit = math.isqrt(p)
-        while b > limit:
-            a, b = b, a % b
-        y2, rem = divmod(p - b * b, 3)
-        if rem == 0:
-            y = math.isqrt(y2)
-            if y * y == y2:
-                return b, y
+    """Solve x^2 + 3*y^2 = p for a prime p = 1 mod 3 (Cornacchia).
+
+    The root of -3 it starts from takes no square root: for the first
+    x >= 2 that is not a cube, u = x^((p-1)/3) is a cube root of unity
+    other than 1, so u^2 + u + 1 = 0 and (2u + 1)^2 = -3.  Either root
+    r gives the same answer: for r < p/2, p mod (p - r) = r, so the
+    remainders from (p, p - r) run through those from (p, r).
+    """
+    x = 2
+    while (u := pow(x, (p - 1) // 3, p)) == 1:
+        x += 1
+    a, b = p, (2 * u + 1) % p
+    limit = math.isqrt(p)
+    while b > limit:
+        a, b = b, a % b
+    y2, rem = divmod(p - b * b, 3)
+    if rem == 0:
+        y = math.isqrt(y2)
+        if y * y == y2:
+            return b, y
     raise ValueError(f"{p} is not represented by x^2 + 3*y^2")
 
 

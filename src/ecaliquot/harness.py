@@ -257,6 +257,10 @@ def _sweep_segment(task: tuple) -> dict:
 # ---------------------------------------------------------------------------
 # checkpointing
 
+# The keys of every _sweep_segment record.
+_RECORD_KEYS = {"lo", "hi", "n_prime", "pairs", "n_k", "n_type1", "chains"}
+
+
 def _canonical_json(payload) -> str:
     return json.dumps(payload, sort_keys=True, separators=(",", ":"))
 
@@ -281,7 +285,9 @@ def _load_checkpoint(path: Path, fingerprint: str) -> dict[int, dict]:
 
     Only newline-terminated lines count: an unterminated tail is a write
     torn by an interrupted run, and _CheckpointWriter cuts it off.  A
-    file without a whole header line is as fresh as a missing one.
+    file without a whole header line is as fresh as a missing one.  A
+    line that parses as JSON but is not a _sweep_segment record is a
+    ValueError naming the file and the line.
     """
     if not path.exists():
         return {}
@@ -293,11 +299,15 @@ def _load_checkpoint(path: Path, fingerprint: str) -> dict[int, dict]:
             f"checkpoint {path} belongs to a different experiment"
         )
     done: dict[int, dict] = {}
-    for line in lines[1:]:
+    for number, line in enumerate(lines[1:], start=2):
         try:
             record = json.loads(line)
         except json.JSONDecodeError:
             continue  # a torn write that an older writer appended onto
+        if not isinstance(record, dict) or record.keys() != _RECORD_KEYS:
+            raise ValueError(
+                f"checkpoint {path} line {number} is not a segment record"
+            )
         done[record["lo"]] = record
     return done
 

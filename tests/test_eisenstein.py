@@ -150,6 +150,26 @@ class TestPrimaryElements:
             assert norm(pi) == p
             assert pi.is_primary() and pi.b > 0
 
+    @pytest.mark.parametrize(
+        "p, a, b",
+        [
+            (1000000000039, -730210, 1139763),
+            (1000000000063, -917722, 1065771),
+            (1000000000177, -1048312, 943419),
+            (2**61 - 1, 1389974741, 230658714),
+            (
+                100000000000000000000000000459,
+                -230409230320447,
+                360528258410022,
+            ),
+        ],
+    )
+    def test_primary_split_large_primes(self, p, a, b):
+        pi = primary_split(p)
+        assert norm(pi) == p
+        assert pi.is_primary() and pi.b > 0
+        assert pi == EisensteinInt(a, b)
+
     def test_primary_split_rejects_inert_and_three(self):
         for bad in (2, 3, 5, 11, 12):
             with pytest.raises(ValueError):

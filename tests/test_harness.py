@@ -970,6 +970,20 @@ class TestCli:
         assert "Traceback" not in result.stderr
         assert len(result.stderr.splitlines()) == 1
 
+    @pytest.mark.parametrize("record", ['{"lo": 2}', "[1, 2]"], ids=["keys", "list"])
+    def test_malformed_checkpoint_record_exits_1(self, tmp_path, record):
+        ck = tmp_path / "cli.ckpt"
+        args = ["pairs", "--k", "2", "--X", "1000", "--checkpoint", str(ck)]
+        assert self.invoke(*args).exit_code == 0
+        header = ck.read_text().split("\n")[0]
+        ck.write_text(f"{header}\n{record}\n")
+        result = self.runner.invoke(main, args)
+        assert result.exit_code == 1
+        assert result.stdout == ""
+        assert result.stderr == (
+            f"# error: checkpoint {ck} line 2 is not a segment record\n"
+        )
+
     @pytest.mark.parametrize("where", ["missing/x.ckpt", "."], ids=["missing-dir", "a-dir"])
     def test_unusable_checkpoint_path_exits_1(self, tmp_path, where):
         ck = tmp_path / where
