@@ -400,8 +400,8 @@ def classify_type1(k: int, p: int) -> TypeOneVerdict:
 
     one_minus = EisensteinInt(1, 0) - psi
     q_gen, _ = primary_associate(one_minus)
-    p_ideal = PrimeIdealK("split", primary_split(p), p)
-    q_ideal = PrimeIdealK("split", q_gen, q)
+    p_ideal = PrimeIdealK(primary_split(p))
+    q_ideal = PrimeIdealK(q_gen)
     u = sextic_symbol(EisensteinInt(k, 0), p_ideal) * sextic_symbol(
         EisensteinInt(k, 0), q_ideal
     )

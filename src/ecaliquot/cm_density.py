@@ -42,6 +42,7 @@ from .eisenstein import (
     Unit6,
     _coerce,
     _pair_pow,
+    cubic_symbol,
     ideals_above,
     sextic_symbol,
 )
@@ -433,7 +434,7 @@ def class_witness_cubic(K: PrimeIdealK, xi: Unit6) -> EisensteinInt:
     """The first residue (in scan order) whose cubic symbol is xi."""
     if xi.exp % 2 != 0:
         raise ValueError("xi must be a cube root of unity")
-    return _class_witness(K, xi, lambda d: sextic_symbol(d, K) ** 2)
+    return _class_witness(K, xi, lambda d: cubic_symbol(d, K))
 
 
 def c6_count_bruteforce(

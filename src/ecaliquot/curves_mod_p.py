@@ -532,7 +532,7 @@ def grossencharacter_j0(k: int, p: int) -> EisensteinInt:
     if (6 * k) % p == 0:
         raise ValueError(f"bad reduction at {p}")
     pi = primary_split(p)
-    ideal = PrimeIdealK("split", pi, p)
+    ideal = PrimeIdealK(pi)
     u = sextic_symbol(EisensteinInt(4 * k, 0), ideal)
     return -(u.inverse().as_eisenstein()) * pi
 

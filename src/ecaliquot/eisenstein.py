@@ -2,9 +2,9 @@
 
 The ring Z[w] is the ring of integers of Q(sqrt(-3)); w is a primitive
 sixth root of unity satisfying w**2 = w - 1.  This module provides the
-integer arithmetic, Euclidean division, splitting of rational primes,
-the quadratic/cubic/sextic residue symbols over prime and composite
-moduli, and the weak quadratic/cubic reciprocity laws that the density
+integer arithmetic, exact division, splitting of rational primes, the
+quadratic/cubic/sextic residue symbols over prime and composite moduli,
+and the weak quadratic/cubic reciprocity laws that the density
 computations rely on.
 
 Python integers are arbitrary precision, so intermediate norms cannot
@@ -172,57 +172,17 @@ class Unit6:
         return f"w^{self.exp}"
 
 
+def _quotient(x: EisensteinInt, m: EisensteinInt) -> EisensteinInt | None:
+    """x / m when m divides x in Z[w], else None.
 
-def norm(x: EisensteinInt) -> int:
-    """Norm form a^2 + a*b + b^2 of a + b*w."""
-    return _coerce(x).norm()
-
-
-def _round_quotient(num: int, den: int) -> int:
-    """Nearest integer to num/den (den > 0), ties rounded toward zero."""
-    q, r = divmod(num, den)
-    if 2 * r > den:
-        return q + 1
-    if 2 * r < den:
-        return q
-    return q + 1 if num < 0 else q
-
-
-def euclidean_div(
-    x: "EisensteinInt | int", m: "EisensteinInt | int"
-) -> tuple[EisensteinInt, EisensteinInt]:
-    """Division with remainder: x = q*m + r with norm(r) < norm(m).
-
-    The quotient is the lattice point nearest to x/m (coordinatewise in
-    the 1, w basis, ties toward zero), which gives norm(r) <= 3/4 norm(m).
+    x / m = x * conj(m) / N(m), so m divides x exactly when N(m) divides
+    both coordinates of x * conj(m).
     """
-    x, m = _coerce(x), _coerce(m)
     n = m.norm()
-    if n == 0:
-        raise ZeroDivisionError("division by zero in Z[w]")
     num = x * m.conjugate()
-    q = EisensteinInt(_round_quotient(num.a, n), _round_quotient(num.b, n))
-    r = x - q * m
-    return q, r
-
-
-def divides(m: "EisensteinInt | int", x: "EisensteinInt | int") -> bool:
-    return euclidean_div(x, m)[1] == ZERO
-
-
-def exact_div(x: "EisensteinInt | int", m: "EisensteinInt | int") -> EisensteinInt:
-    q, r = euclidean_div(x, m)
-    if r != ZERO:
-        raise ValueError(f"{m} does not divide {x}")
-    return q
-
-
-def gcd(x: "EisensteinInt | int", y: "EisensteinInt | int") -> EisensteinInt:
-    """A greatest common divisor (defined up to units)."""
-    x, y = _coerce(x), _coerce(y)
-    while y != ZERO:
-        x, y = y, euclidean_div(x, y)[1]
-    return x
+    qa, ra = divmod(num.a, n)
+    qb, rb = divmod(num.b, n)
+    return EisensteinInt(qa, qb) if ra == rb == 0 else None
 
 
 def primary_associate(x: EisensteinInt) -> tuple[EisensteinInt, Unit6]:
@@ -281,23 +241,29 @@ def primary_split(p: int) -> EisensteinInt:
 
 @dataclass(frozen=True)
 class PrimeIdealK:
-    """A prime ideal of Z[w] away from 3, with a distinguished generator.
+    """A prime ideal of Z[w] away from 3, held as its primary generator.
 
-    kind "split": generator is a primary pi with norm(pi) = p = 1 mod 3.
-    kind "inert": generator is a rational prime k = 2 mod 3 (also primary).
+    The generator fixes the rest, which is derived from it once: kind is
+    "inert" for a rational prime k = 2 mod 3 (b = 0), with residue norm
+    k^2; any other primary generator pi has prime norm p = 1 mod 3, so
+    b != 0, and kind "split", with residue norm p.
     """
 
-    kind: str
     generator: EisensteinInt
-    residue_norm: int
+
+    def __post_init__(self) -> None:
+        # Plain attributes, not properties: the symbols read them per call.
+        g = self.generator
+        object.__setattr__(self, "kind", "inert" if g.b == 0 else "split")
+        object.__setattr__(self, "residue_norm", g.norm())
 
     @classmethod
     def above(cls, p: int) -> "PrimeIdealK":
         """The ideal above a rational prime p != 3 (canonical one if split)."""
         if p % 3 == 1:
-            return cls("split", primary_split(p), p)
+            return cls(primary_split(p))
         if p % 3 == 2 and isprime(p):
-            return cls("inert", EisensteinInt(p, 0), p * p)
+            return cls(EisensteinInt(p, 0))
         raise ValueError(f"no prime ideal of Z[w] away from 3 lies over {p}")
 
     @classmethod
@@ -307,17 +273,14 @@ class PrimeIdealK:
         if n % 3 == 0:
             raise ValueError("the ramified prime over 3 is not supported")
         if isprime(n):
-            prim, _ = primary_associate(pi)
-            return cls("split", prim, n)
+            return cls(primary_associate(pi)[0])
         k = math.isqrt(n)
         if k * k == n and isprime(k) and k % 3 == 2:
-            return cls("inert", EisensteinInt(k, 0), n)
+            return cls(EisensteinInt(k, 0))
         raise ValueError(f"{pi} does not generate a prime ideal")
 
     def conjugate(self) -> "PrimeIdealK":
-        if self.kind == "inert":
-            return self
-        return PrimeIdealK("split", self.generator.conjugate(), self.residue_norm)
+        return PrimeIdealK(self.generator.conjugate())
 
     def omega_residue(self) -> int:
         """The image of w in Z[w]/(pi) = F_p, for a split ideal."""
@@ -355,7 +318,7 @@ def _pair_pow(x: tuple[int, int], n: int, k: int) -> tuple[int, int]:
 
 @lru_cache(maxsize=1 << 16)
 def _split_unit_table(gen_a: int, gen_b: int, p: int) -> dict[int, int]:
-    w0 = PrimeIdealK("split", EisensteinInt(gen_a, gen_b), p).omega_residue()
+    w0 = PrimeIdealK(EisensteinInt(gen_a, gen_b)).omega_residue()
     table = {}
     t = 1
     for e in range(6):
@@ -367,11 +330,12 @@ def _split_unit_table(gen_a: int, gen_b: int, p: int) -> dict[int, int]:
 def sextic_symbol(alpha: "EisensteinInt | int", m: PrimeIdealK) -> Unit6:
     """The sextic residue symbol (alpha / m), a sixth root of unity.
 
-    Defined by alpha^((N(m)-1)/6) mod m; requires alpha coprime to m.
+    Defined by alpha^((N(m)-1)/6) mod m; requires alpha coprime to m,
+    and 6 | N(m) - 1, which fails only at the ideals above 2 and 3.
     """
     alpha = _coerce(alpha)
-    if m.residue_norm % 3 == 0:
-        raise ValueError("modulus must be coprime to 3")
+    if (m.residue_norm - 1) % 6:
+        raise ValueError(f"6 does not divide N - 1 at the modulus {m.generator}")
     if m.kind == "split":
         p = m.residue_norm
         x = m.reduce(alpha)
@@ -398,30 +362,17 @@ def ideals_above(r: int) -> tuple[PrimeIdealK, ...]:
     return (PrimeIdealK.above(r),)
 
 
-def _projection(degree: int) -> int:
-    """The power taking a sextic symbol to the symbol of this degree."""
-    if degree not in (2, 3, 6):
-        raise ValueError("degree must be 2, 3 or 6")
-    return 6 // degree
-
-
 def symbol_composite(alpha: "EisensteinInt | int", k: int, degree: int = 6) -> Unit6:
     """Jacobi-style residue symbol (alpha / k*Z[w]) for composite k.
 
     The symbol is the product over the prime-ideal factorization of
     k*Z[w], with ideal powers contributing the prime symbol raised to
-    the multiplicity.  degree selects the sextic (6), cubic (3), or
-    quadratic (2) symbol.
+    the multiplicity: symbol_eisenstein at the rational modulus k.
+    degree selects the sextic (6), cubic (3), or quadratic (2) symbol.
     """
-    power = _projection(degree)
-    k = abs(k)
     if math.gcd(k, 6) != 1:
         raise ValueError("modulus must be coprime to 6")
-    total = 0
-    for r, e in factorint(k).items():
-        for ideal in ideals_above(r):
-            total += sextic_symbol(alpha, ideal).exp * e
-    return Unit6(total) ** power
+    return symbol_eisenstein(alpha, EisensteinInt(abs(k), 0), degree)
 
 
 def eisenstein_factor(
@@ -436,22 +387,13 @@ def eisenstein_factor(
     factors: list[tuple[EisensteinInt, int]] = []
     rem = lam
     for r in sorted(factorint(n)):
-        if r % 3 == 2:
+        for ideal in ideals_above(r):
             cnt = 0
-            while divides(r, rem):
-                rem = exact_div(rem, r)
+            while (q := _quotient(rem, ideal.generator)) is not None:
+                rem = q
                 cnt += 1
             if cnt:
-                factors.append((EisensteinInt(r, 0), cnt))
-        else:
-            pi = primary_split(r)
-            for cand in (pi, pi.conjugate()):
-                cnt = 0
-                while divides(cand, rem):
-                    rem = exact_div(rem, cand)
-                    cnt += 1
-                if cnt:
-                    factors.append((cand, cnt))
+                factors.append((ideal.generator, cnt))
     if not rem.is_unit():
         raise ArithmeticError(f"incomplete factorization of {lam}")
     return rem, factors
@@ -460,14 +402,18 @@ def eisenstein_factor(
 def symbol_eisenstein(
     alpha: "EisensteinInt | int", lam: EisensteinInt, degree: int = 6
 ) -> Unit6:
-    """Residue symbol (alpha / lam*Z[w]) for a general Eisenstein modulus."""
-    power = _projection(degree)
+    """Residue symbol (alpha / lam*Z[w]) for a general Eisenstein modulus.
+
+    The sextic symbol to the power 6 / degree gives the cubic (degree 3)
+    or quadratic (degree 2) symbol.
+    """
+    if degree not in (2, 3, 6):
+        raise ValueError("degree must be 2, 3 or 6")
     total = 0
     _, factors = eisenstein_factor(lam)
     for prm, e in factors:
-        ideal = PrimeIdealK.from_generator(prm)
-        total += sextic_symbol(alpha, ideal).exp * e
-    return Unit6(total) ** power
+        total += sextic_symbol(alpha, PrimeIdealK(prm)).exp * e
+    return Unit6(total) ** (6 // degree)
 
 
 def cubic_symbol(alpha: "EisensteinInt | int", m: PrimeIdealK) -> Unit6:

@@ -257,8 +257,9 @@ def _sweep_segment(task: tuple) -> dict:
 # ---------------------------------------------------------------------------
 # checkpointing
 
-# The keys of every _sweep_segment record.
-_RECORD_KEYS = {"lo", "hi", "n_prime", "pairs", "n_k", "n_type1", "chains"}
+# The keys of every _sweep_segment record, and those that hold counts.
+_COUNT_KEYS = ("lo", "hi", "n_prime", "n_k", "n_type1")
+_RECORD_KEYS = {*_COUNT_KEYS, "pairs", "chains"}
 
 
 def _canonical_json(payload) -> str:
@@ -280,31 +281,57 @@ def _config_fingerprint(cfg: ExperimentConfig) -> str:
     )
 
 
-def _load_checkpoint(path: Path, fingerprint: str) -> dict[int, dict]:
-    """Completed segment records keyed by lo; {} for a fresh file.
+def _is_count(x) -> bool:
+    return type(x) is int and x >= 0
+
+
+def _is_record(record, cells: dict[int, int], lengths: tuple[int, ...]) -> bool:
+    """True iff record is a _sweep_segment record of one of the grid's
+    cells (lo -> hi) with chain counts for exactly these lengths."""
+    if not isinstance(record, dict) or record.keys() != _RECORD_KEYS:
+        return False
+    pairs, chains = record["pairs"], record["chains"]
+    return (
+        all(_is_count(record[key]) for key in _COUNT_KEYS)
+        and cells.get(record["lo"]) == record["hi"]
+        and isinstance(pairs, list)
+        and all(
+            isinstance(pq, list) and len(pq) == 2 and all(type(v) is int for v in pq)
+            for pq in pairs
+        )
+        and isinstance(chains, dict)
+        and chains.keys() == {str(L) for L in lengths}
+        and all(_is_count(n) for n in chains.values())
+    )
+
+
+def _load_checkpoint(path: Path, cfg: ExperimentConfig) -> dict[int, dict]:
+    """Completed segment records of the sweep cfg, keyed by lo; {} for a
+    fresh file.
 
     Only newline-terminated lines count: an unterminated tail is a write
     torn by an interrupted run, and _CheckpointWriter cuts it off.  A
     file without a whole header line is as fresh as a missing one.  A
-    line that parses as JSON but is not a _sweep_segment record is a
-    ValueError naming the file and the line.
+    line that parses as JSON but is not a _sweep_segment record of a
+    cell of cfg's grid is a ValueError naming the file and the line.
     """
     if not path.exists():
         return {}
     *lines, _ = path.read_text().split("\n")
     if not lines:
         return {}  # no whole header line: the run died while creating it
-    if lines[0] != fingerprint:
+    if lines[0] != _config_fingerprint(cfg):
         raise ValueError(
             f"checkpoint {path} belongs to a different experiment"
         )
+    cells = dict(_segment_grid(cfg.x_bound, cfg.segment_size))
     done: dict[int, dict] = {}
     for number, line in enumerate(lines[1:], start=2):
         try:
             record = json.loads(line)
         except json.JSONDecodeError:
             continue  # a torn write that an older writer appended onto
-        if not isinstance(record, dict) or record.keys() != _RECORD_KEYS:
+        if not _is_record(record, cells, cfg.lengths):
             raise ValueError(
                 f"checkpoint {path} line {number} is not a segment record"
             )
@@ -363,13 +390,12 @@ def run_pair_sweep(cfg: ExperimentConfig) -> SweepReport:
     k = cfg.mordell_k()
     grid = _segment_grid(cfg.x_bound, cfg.segment_size)
 
-    fingerprint = _config_fingerprint(cfg)
     done: dict[int, dict] = {}
     writer = None
     if cfg.checkpoint is not None:
         path = Path(cfg.checkpoint)
-        done = _load_checkpoint(path, fingerprint)
-        writer = _CheckpointWriter(path, fingerprint)
+        done = _load_checkpoint(path, cfg)
+        writer = _CheckpointWriter(path, _config_fingerprint(cfg))
 
     tasks = [
         (E, lo, hi, k, cfg.lengths, cfg.backend)

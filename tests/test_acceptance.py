@@ -59,7 +59,6 @@ from ecaliquot.eisenstein import (
     PrimeIdealK,
     Unit6,
     ideals_above,
-    norm,
     sextic_symbol,
 )
 from ecaliquot.harness import (
@@ -388,7 +387,7 @@ class TestCharacterInvariants:
             psi = grossencharacter_j0(k, p)
             prod = psi * (one - psi)
             assert prod.a % 3 == 1 and prod.b % 3 == 0, (k, p)
-            assert norm(one - psi) == q, (k, p)
+            assert (one - psi).norm() == q, (k, p)
             verdict = classify_type1(k, p)
             a_q = q + 1 - count_points_cm_j0(k, q)
             assert verdict.is_type1 == (

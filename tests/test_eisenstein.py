@@ -17,14 +17,9 @@ from ecaliquot.eisenstein import (
     PrimeIdealK,
     Unit6,
     cubic_symbol,
-    divides,
     eisenstein_factor,
-    euclidean_div,
-    exact_div,
-    gcd,
     ideals_above,
     mu3_companion,
-    norm,
     primary_associate,
     primary_split,
     quadratic_symbol,
@@ -49,9 +44,9 @@ class TestBasicArithmetic:
         assert OMEGA ** 2 == OMEGA - ONE  # w^2 = w - 1
 
     def test_norms(self):
-        assert norm(EisensteinInt(-4, 3)) == 13
-        assert norm(EisensteinInt(5, -3)) == 19
-        assert norm(SQRT_MINUS_3) == 3
+        assert EisensteinInt(-4, 3).norm() == 13
+        assert EisensteinInt(5, -3).norm() == 19
+        assert SQRT_MINUS_3.norm() == 3
         assert SQRT_MINUS_3 * SQRT_MINUS_3 == EisensteinInt(-3, 0)
 
     def test_traces(self):
@@ -76,12 +71,12 @@ class TestBasicArithmetic:
 
     @given(eis, eis)
     def test_norm_is_multiplicative(self, x, y):
-        assert norm(x * y) == norm(x) * norm(y)
+        assert (x * y).norm() == x.norm() * y.norm()
 
     @given(eis)
     def test_conjugation_is_an_involution(self, x):
         assert x.conjugate().conjugate() == x
-        assert norm(x.conjugate()) == norm(x)
+        assert x.conjugate().norm() == x.norm()
         assert x.conjugate().trace == x.trace
 
     @given(eis, eis)
@@ -90,38 +85,10 @@ class TestBasicArithmetic:
         assert (x + y).conjugate() == x.conjugate() + y.conjugate()
 
 
-class TestEuclideanDivision:
-    def test_integer_example(self):
-        q, r = euclidean_div(7, 2)
-        assert 7 == (q * EisensteinInt(2, 0) + r).a and r.b == 0
-        assert norm(r) < 4
-
-    @given(eis, eis_nonzero)
-    def test_reassembly_and_remainder_bound(self, x, m):
-        q, r = euclidean_div(x, m)
-        assert q * m + r == x
-        assert 4 * norm(r) <= 3 * norm(m)
-
-    def test_zero_divisor_rejected(self):
-        with pytest.raises(ZeroDivisionError):
-            euclidean_div(EisensteinInt(1, 1), ZERO)
-
-    @given(eis_nonzero, eis_nonzero)
-    def test_gcd_divides_both(self, x, y):
-        g = gcd(x, y)
-        assert divides(g, x) and divides(g, y)
-
-    def test_exact_div(self):
-        x = EisensteinInt(2, 5) * EisensteinInt(-3, 7)
-        assert exact_div(x, EisensteinInt(-3, 7)) == EisensteinInt(2, 5)
-        with pytest.raises(ValueError):
-            exact_div(EisensteinInt(1, 0), EisensteinInt(0, 2))
-
-
 class TestPrimaryElements:
     @given(eis_nonzero)
     def test_exactly_one_primary_associate(self, x):
-        if math.gcd(norm(x), 3) != 1:
+        if math.gcd(x.norm(), 3) != 1:
             with pytest.raises(ValueError):
                 primary_associate(x)
             return
@@ -147,7 +114,7 @@ class TestPrimaryElements:
         assert len(split) == 4784
         for p in split:
             pi = primary_split(p)
-            assert norm(pi) == p
+            assert pi.norm() == p
             assert pi.is_primary() and pi.b > 0
 
     @pytest.mark.parametrize(
@@ -166,7 +133,7 @@ class TestPrimaryElements:
     )
     def test_primary_split_large_primes(self, p, a, b):
         pi = primary_split(p)
-        assert norm(pi) == p
+        assert pi.norm() == p
         assert pi.is_primary() and pi.b > 0
         assert pi == EisensteinInt(a, b)
 
@@ -208,6 +175,17 @@ class TestPrimeIdeals:
         inert = PrimeIdealK.above(11)
         assert inert.conjugate() == inert
 
+    def test_the_generator_fixes_kind_norm_and_identity(self):
+        for p in primerange(5, 500):
+            ideal = PrimeIdealK.above(p)
+            if p % 3 == 1:
+                assert (ideal.kind, ideal.residue_norm) == ("split", p)
+            else:
+                assert (ideal.kind, ideal.residue_norm) == ("inert", p * p)
+            for u in UNITS:
+                same = PrimeIdealK.from_generator(u * ideal.generator)
+                assert same == ideal and hash(same) == hash(ideal)
+
 
 class TestSexticSymbol:
     def test_known_split_values(self):
@@ -247,7 +225,7 @@ class TestSexticSymbol:
     @settings(max_examples=60)
     def test_multiplicative_split(self, x, y):
         ideal = PrimeIdealK.above(31)
-        if norm(x) % 31 == 0 or norm(y) % 31 == 0:
+        if x.norm() % 31 == 0 or y.norm() % 31 == 0:
             return
         assert sextic_symbol(x * y, ideal) == sextic_symbol(x, ideal) * sextic_symbol(
             y, ideal
@@ -257,7 +235,7 @@ class TestSexticSymbol:
     @settings(max_examples=60)
     def test_multiplicative_inert(self, x, y):
         ideal = PrimeIdealK.above(11)
-        if norm(x) % 11 == 0 or norm(y) % 11 == 0:
+        if x.norm() % 11 == 0 or y.norm() % 11 == 0:
             return
         assert sextic_symbol(x * y, ideal) == sextic_symbol(x, ideal) * sextic_symbol(
             y, ideal
@@ -268,10 +246,20 @@ class TestSexticSymbol:
     def test_conjugation_equivariance(self, x):
         for p in (13, 5):
             ideal = PrimeIdealK.above(p)
-            if norm(x) % p == 0:
+            if x.norm() % p == 0:
                 continue
             lhs = sextic_symbol(x.conjugate(), ideal.conjugate())
             assert lhs == sextic_symbol(x, ideal).conjugate()
+
+    def test_undefined_above_2_and_3(self):
+        # The residue fields there have 4 and 3 elements, and 6 divides
+        # neither 4 - 1 nor 3 - 1.
+        for m in (PrimeIdealK.above(2), PrimeIdealK(SQRT_MINUS_3)):
+            for alpha in (5, EisensteinInt(2, 3)):
+                with pytest.raises(ValueError):
+                    sextic_symbol(alpha, m)
+        with pytest.raises(ValueError):
+            symbol_eisenstein(5, EisensteinInt(14, 0))
 
     def test_non_coprime_rejected(self):
         with pytest.raises(ValueError):
@@ -325,7 +313,7 @@ class TestEisensteinFactorization:
     @given(eis_nonzero)
     @settings(max_examples=80)
     def test_reassembly(self, x):
-        if norm(x) % 3 == 0 or norm(x) > 10**4:
+        if x.norm() % 3 == 0 or x.norm() > 10**4:
             return
         unit, factors = eisenstein_factor(x)
         prod = unit
@@ -382,7 +370,7 @@ class TestReciprocity:
             if math.gcd(k, 6) != 1:
                 continue
             lam = EisensteinInt(rng.randrange(-60, 61), rng.randrange(-60, 61))
-            n = norm(lam)
+            n = lam.norm()
             if n == 0 or math.gcd(n, 6 * k) != 1:
                 continue
             pair = reciprocity_pair(k, lam)

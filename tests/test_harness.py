@@ -37,7 +37,6 @@ from ecaliquot.harness import (
     GrowthRow,
     PairListCheck,
     SweepReport,
-    _config_fingerprint,
     _load_checkpoint,
     _segment_grid,
     density_rows,
@@ -518,7 +517,7 @@ class TestCheckpointing:
         for cut in range(start, len(text)):
             ck.write_text(text[:cut])
             assert run_pair_sweep(cfg) == full
-            done = _load_checkpoint(ck, _config_fingerprint(cfg))
+            done = _load_checkpoint(ck, cfg)
             assert sorted(done) == los, cut
             assert ck.read_text() == text, cut
 
@@ -531,7 +530,7 @@ class TestCheckpointing:
         full, text = self._fresh_run(tmp_path)
         ck = tmp_path / "sweep.ckpt"
         ck.write_text("")
-        assert _load_checkpoint(ck, _config_fingerprint(self._config(ck))) == {}
+        assert _load_checkpoint(ck, self._config(ck)) == {}
         assert run_pair_sweep(self._config(ck)) == full
         assert ck.read_text() == text
 
@@ -541,8 +540,7 @@ class TestCheckpointing:
         ck = tmp_path / "sweep.ckpt"
         for cut in (1, len(header) // 2, len(header)):
             ck.write_text(header[:cut])
-            fingerprint = _config_fingerprint(self._config(ck))
-            assert _load_checkpoint(ck, fingerprint) == {}
+            assert _load_checkpoint(ck, self._config(ck)) == {}
             assert run_pair_sweep(self._config(ck)) == full
             assert ck.read_text() == text, cut
 
@@ -970,13 +968,38 @@ class TestCli:
         assert "Traceback" not in result.stderr
         assert len(result.stderr.splitlines()) == 1
 
-    @pytest.mark.parametrize("record", ['{"lo": 2}', "[1, 2]"], ids=["keys", "list"])
-    def test_malformed_checkpoint_record_exits_1(self, tmp_path, record):
+    @pytest.mark.parametrize(
+        "change",
+        [
+            '{"lo": 2}',
+            "[1, 2]",
+            {"n_prime": "x"},
+            {"hi": 77},
+            {"lo": 3},
+            {"pairs": [[13]]},
+            {"n_k": -1},
+            {"chains": {"9": 0}},
+        ],
+        ids=[
+            "keys",
+            "list",
+            "count-str",
+            "hi-off-cell",
+            "lo-off-grid",
+            "short-pair",
+            "negative",
+            "lengths",
+        ],
+    )
+    def test_malformed_checkpoint_record_exits_1(self, tmp_path, change):
+        # A change is a whole line, or new values for the sweep's own record.
         ck = tmp_path / "cli.ckpt"
         args = ["pairs", "--k", "2", "--X", "1000", "--checkpoint", str(ck)]
         assert self.invoke(*args).exit_code == 0
-        header = ck.read_text().split("\n")[0]
-        ck.write_text(f"{header}\n{record}\n")
+        header, line, _ = ck.read_text().split("\n")
+        if isinstance(change, dict):
+            change = json.dumps({**json.loads(line), **change})
+        ck.write_text(f"{header}\n{change}\n")
         result = self.runner.invoke(main, args)
         assert result.exit_code == 1
         assert result.stdout == ""
