@@ -13,9 +13,11 @@ holds every image of the segment once, and builds the counter on it.
 Every search folds over one walk, whose step _Counter.image returns
 only what a cycle needs: a prime image, or 0.  Its primality comes from
 the window's flags, and from isprime only for images beyond them; on
-y^2 = x^3 + k the CM formula counts the whole window at once.  One test
-of the 2-torsion of E(F_p) stops the walk without counting: any root
-of the 2-division cubic in F_p is a point of order 2, so #E(F_p) is
+y^2 = x^3 + k the CM formula counts the whole window at once.  A
+segment's first step is one _Counter.images call, and walks start only
+from primes with a prime image.  One test of the 2-torsion of E(F_p)
+stops the walk without counting: any root of the 2-division cubic in
+F_p is a point of order 2, so #E(F_p) is
 even and, for p >= 7, composite.  One Legendre symbol tells one root
 from 0 or 3, and a Lucas sequence tells 0 from 3.  With no root,
 #E(F_p) is odd.  Above MESTRE_BOUND on a curve that BSGS counts, the
@@ -29,10 +31,9 @@ counting backends.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import compress
 from math import isqrt
 
-from .arith import factorint, isprime, prime_flags
+from .arith import factorint, isprime, marked_primes, prime_flags
 from .arith import primes_in_range  # noqa: F401  (perfbench patches it)
 from .curves_mod_p import (
     BACKENDS,
@@ -72,7 +73,8 @@ class _Counter:
     len(flags)), which decide the primality of the images that fall in
     it.  memo[p] is #E(F_p), or 0 where image(p) has only shown that
     count composite.  Where count_points takes the CM formula, the memo
-    starts with the count at every good prime of the window.
+    starts with the count at every good prime of the window; images
+    takes a segment's first step in one pass over it.
     """
 
     def __init__(
@@ -101,8 +103,8 @@ class _Counter:
         wlo = max(2, lo - 2 * isqrt(lo) - 2)
         flags = prime_flags(wlo, hi + 2 * isqrt(hi) + 3)
         count = cls(E, backend, wlo, flags)
-        primes = compress(range(lo, hi), flags[lo - wlo : hi - wlo])
-        return count, (p for p in primes if count.disc % p)
+        primes = marked_primes(flags, wlo, lo, hi)
+        return count, [p for p in primes if count.disc % p]
 
     def __call__(self, p: int) -> int:
         v = self.memo.get(p)
@@ -138,6 +140,16 @@ class _Counter:
                 return q
             q = self(p)
         return q if q and self._prime(q) else 0
+
+    def images(self, ps: list[int]) -> list[int]:
+        """[self.image(p) for p in ps]: memoized counts are read and tested
+        in one comprehension, and each memo miss goes to image."""
+        memo, lo, hi, flags = self.memo, self.lo, self.hi, self.flags
+        return [
+            self.image(p) if (q := memo.get(p)) is None
+            else q if q and (flags[q - lo] if lo <= q < hi else isprime(q)) else 0
+            for p in ps
+        ]
 
     def annihilator(self, p: int, A: int, B: int) -> int:
         """The search of image's BSGS route: first_annihilator, as a
@@ -263,13 +275,12 @@ def _segment_grid(x_bound: int, segment_size: int) -> list[tuple[int, int]]:
 
 
 def _census(E: CurveQ, backend: str, X: int):
-    """(count, p) for each good prime p <= X, where count is the counter
-    of p's segment of _segment_grid(X, SEGMENT_SIZE)."""
+    """(count, primes) for each segment of _segment_grid(X, SEGMENT_SIZE):
+    its counter and its good primes."""
     if backend not in BACKENDS:  # also where X < 2 builds no counter
         raise ValueError(f"backend must be one of {BACKENDS}")
     for lo, hi in _segment_grid(X, SEGMENT_SIZE):
-        count, primes = _Counter.segment(E, backend, lo, hi)
-        yield from ((count, p) for p in primes)
+        yield _Counter.segment(E, backend, lo, hi)
 
 
 def _closed_walks(E: CurveQ, length: int, X: int, backend: str):
@@ -278,10 +289,12 @@ def _closed_walks(E: CurveQ, length: int, X: int, backend: str):
     The floor p prunes each walk at its first image below p, so every
     closed walk is found once, from its smallest prime.
     """
-    for count, p in _census(E, backend, X):
-        walk, stop = _walk(count, p, length + 1, floor=p)
-        if stop == p and len(walk) == length:
-            yield tuple(walk)
+    for count, primes in _census(E, backend, X):
+        for p, q in zip(primes, count.images(primes)):
+            if q >= p:
+                walk, stop = _walk(count, p, length + 1, floor=p)
+                if stop == p and len(walk) == length:
+                    yield tuple(walk)
 
 
 def aliquot_cycles_up_to(
@@ -321,9 +334,11 @@ def chain_count(E: CurveQ, length: int, X: int, backend: str = "auto") -> int:
     """
     if length < 1:
         raise ValueError("length must be >= 1")
-    return sum(
+    return sum(  # a chain of length 1 takes no step
         len(_walk(count, p, length)[0]) == length
-        for count, p in _census(E, backend, X)
+        for count, primes in _census(E, backend, X)
+        for p, q in zip(primes, count.images(primes) if length > 1 else primes)
+        if q
     )
 
 

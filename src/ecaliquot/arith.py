@@ -8,7 +8,8 @@
 
 from __future__ import annotations
 
-from itertools import compress
+from bisect import bisect_left
+from itertools import chain, compress
 from math import gcd, isqrt, prod
 
 # Trial division by the primes below 50 comes before every Miller--Rabin test.
@@ -30,14 +31,28 @@ def prime_flags(lo: int, hi: int) -> bytearray:
 
     The base primes q <= isqrt(hi - 1) come from this same sieve on
     [2, isqrt(hi - 1) + 1), one level down; below hi = 5 there are none.
+    A q >= hi - lo has at most one multiple in the window, at -lo % q,
+    which is crossed off alone (it is not q, as q^2 < hi <= lo + q).
     """
     width = hi - lo
     sieve = bytearray([1]) * width
-    for q in primes_in_range(2, isqrt(hi - 1) + 1):
+    base = primes_in_range(2, isqrt(hi - 1) + 1)
+    wide = bisect_left(base, width)
+    for q in base[:wide]:
         start = max(q * q, (lo + q - 1) // q * q)
         if start < hi:
             sieve[start - lo :: q] = bytearray(len(range(start - lo, width, q)))
+    for n in filter(width.__gt__, [-lo % q for q in base[wide:]]):
+        sieve[n] = 0
     return sieve
+
+
+def marked_primes(flags: bytes, lo: int, start: int, stop: int):
+    """The primes in [start, stop) that flags, the prime_flags of a window
+    from lo, marks; only odd numbers are stepped over, and 2 is prime."""
+    odd = start | 1
+    primes = compress(range(odd, stop, 2), flags[odd - lo : stop - lo : 2])
+    return chain((2,), primes) if start <= 2 < stop else primes
 
 
 def primes_in_range(lo: int, hi: int) -> list[int]:
@@ -45,7 +60,7 @@ def primes_in_range(lo: int, hi: int) -> list[int]:
     if hi <= 2 or hi <= lo:
         return []
     lo = max(lo, 2)
-    return list(compress(range(lo, hi), prime_flags(lo, hi)))
+    return list(marked_primes(prime_flags(lo, hi), lo, lo, hi))
 
 
 def _strong_probable_prime(n: int, bases) -> bool:

@@ -367,12 +367,14 @@ def symbol_composite(alpha: "EisensteinInt | int", k: int, degree: int = 6) -> U
 
     The symbol is the product over the prime-ideal factorization of
     k*Z[w], with ideal powers contributing the prime symbol raised to
-    the multiplicity: symbol_eisenstein at the rational modulus k.
-    degree selects the sextic (6), cubic (3), or quadratic (2) symbol.
+    the multiplicity: symbol_eisenstein at the rational modulus k, as
+    each ideal above r divides k*Z[w] v times for r^v || k.  degree
+    selects the sextic (6), cubic (3), or quadratic (2) symbol.
     """
     if math.gcd(k, 6) != 1:
         raise ValueError("modulus must be coprime to 6")
-    return symbol_eisenstein(alpha, EisensteinInt(abs(k), 0), degree)
+    factors = [(m, v) for r, v in factorint(abs(k)).items() for m in ideals_above(r)]
+    return _symbol_product(alpha, factors, degree)
 
 
 def eisenstein_factor(
@@ -386,12 +388,16 @@ def eisenstein_factor(
         raise ValueError("ramified factorization over 3 is not supported")
     factors: list[tuple[EisensteinInt, int]] = []
     rem = lam
-    for r in sorted(factorint(n)):
+    # The ideals above r divide lam at most v times in all, for r^v || n.
+    for r, v in factorint(n).items():
         for ideal in ideals_above(r):
             cnt = 0
             while (q := _quotient(rem, ideal.generator)) is not None:
+                if cnt == v:
+                    raise ArithmeticError(f"incomplete factorization of {lam}")
                 rem = q
                 cnt += 1
+            v -= cnt
             if cnt:
                 factors.append((ideal.generator, cnt))
     if not rem.is_unit():
@@ -407,12 +413,18 @@ def symbol_eisenstein(
     The sextic symbol to the power 6 / degree gives the cubic (degree 3)
     or quadratic (degree 2) symbol.
     """
+    _, factors = eisenstein_factor(lam)
+    return _symbol_product(
+        alpha, [(PrimeIdealK(prm), e) for prm, e in factors], degree
+    )
+
+
+def _symbol_product(alpha, factors, degree: int) -> Unit6:
+    """The product of (alpha / m)_6^e over the (m, e) of factors, to the
+    power 6 / degree."""
     if degree not in (2, 3, 6):
         raise ValueError("degree must be 2, 3 or 6")
-    total = 0
-    _, factors = eisenstein_factor(lam)
-    for prm, e in factors:
-        total += sextic_symbol(alpha, PrimeIdealK(prm)).exp * e
+    total = sum(sextic_symbol(alpha, m).exp * e for m, e in factors)
     return Unit6(total) ** (6 // degree)
 
 

@@ -118,6 +118,15 @@ class TestAmicablePairs:
         with pytest.raises(ArithmeticError, match=r"\(251, 269\)"):
             amicable_pairs_up_to(E2, 300)
 
+    def test_lying_counters_are_caught_by_the_cycle_search(
+        self, monkeypatch, lying_counter, lying_search
+    ):
+        cases = ((lying_counter, 100, r"\(41, 53\)"), (lying_search, 300, r"\(251, 269\)"))
+        for liar, X, pair in cases:
+            monkeypatch.setattr(aliquot, "_Counter", liar)
+            with pytest.raises(ArithmeticError, match=pair):
+                aliquot_cycles_up_to(E2, 2, X)
+
     def test_lying_search_premises(self, lying_search):
         # Both primes lie above MESTRE_BOUND with odd counts, so the
         # walk asks the first-match search for them, and each lie is a
@@ -291,6 +300,39 @@ class TestParitySkip:
                 count = _Counter(E, "auto", *window)
                 assert count.image(p) == q
                 assert _walk(count, p, 3) == ([p, q], None)
+
+
+class TestBatchedStep:
+    CASES = (
+        (CurveQ.mordell(7), "cm"),
+        (CurveQ.mordell(7), "auto"),
+        (E2, "auto"),
+        (E2, "bsgs"),
+        (CurveQ.short(-5, -5), "auto"),
+    )
+
+    def test_images_are_the_image_steps(self):
+        # With no window, with one that ends below most images (on 43a
+        # some are prime beyond it, for isprime), and with one that
+        # holds them all; a second call reads the memo.
+        for E, backend in self.CASES:
+            disc = E.discriminant()
+            ps = [p for p in primes_in_range(2, 3000) if disc % p]
+            for lo, hi in ((0, 0), (2, 1000), (2, 3200)):
+                flags = prime_flags(lo, hi) if hi else b""
+                one = _Counter(E, backend, lo, flags)
+                want = [one.image(p) for p in ps]
+                count = _Counter(E, backend, lo, flags)
+                assert count.images(ps) == want, (E, backend, hi)
+                assert count.images(ps) == want, (E, backend, hi)
+                if E == E2 and hi == 1000:
+                    assert any(q >= hi for q in want)
+
+    def test_image_of_bad_reduction(self):
+        # #E(F_11) = 7 on y^2 = x^3 - 5x - 5, which is bad at 7.
+        E = CurveQ.short(-5, -5)
+        for window in ((), (2, prime_flags(2, 30))):
+            assert _Counter(E, "auto", *window).images([11]) == [7]
 
 
 class TestBackendCheck:

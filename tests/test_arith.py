@@ -57,6 +57,17 @@ class TestSieve:
             for lo in range(2, hi):
                 self._check_window(lo, hi)
 
+    @pytest.mark.parametrize(
+        "lo", [10**9 - 7, 10**9 + 4321, 10**12 - 3, 999983**2 - 8], ids=str
+    )
+    def test_narrow_windows_agree_with_isprime(self, lo):
+        # Base primes at least as wide as the window cross off at most
+        # one multiple each; 999983^2 is the square of such a prime.
+        for width in (16, 17, 100, 2500, 4999, 5000):
+            flags = prime_flags(lo, lo + width)
+            assert flags == bytearray(isprime(n) for n in range(lo, lo + width))
+        assert prime_flags(2, 5) == bytearray([1, 1, 0])
+
     def test_random_windows_below_1e12(self):
         # lo below 10^e for e = 3..12 alike, so that every depth of base
         # primes, up to 10^6, is sieved about as often.

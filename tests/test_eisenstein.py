@@ -1,12 +1,14 @@
 """Arithmetic and residue-symbol tests against hand-computed values."""
 
 import math
+import time
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from sympy import legendre_symbol, primerange
 
+from ecaliquot import eisenstein
 from ecaliquot.eisenstein import (
     ONE,
     OMEGA,
@@ -302,6 +304,27 @@ class TestCompositeSymbols:
             with pytest.raises(ValueError):
                 symbol_eisenstein(5, lam, degree)
 
+    def test_agrees_with_the_rational_modulus_below_3000(self):
+        # symbol_composite factors k, symbol_eisenstein factors N(k) = k^2;
+        # 3 + w has norm 7, so both refuse the k that 7 divides.
+        def outcome(symbol, *args):
+            try:
+                return symbol(*args)
+            except ValueError:
+                return None
+
+        alphas = (EisensteinInt(2, 0), EisensteinInt(1, -1), EisensteinInt(3, 1))
+        for k in range(1, 3000):
+            if math.gcd(k, 6) != 1:
+                continue
+            for alpha in alphas:
+                for degree in (2, 3, 6):
+                    want = outcome(
+                        symbol_eisenstein, alpha, EisensteinInt(k, 0), degree
+                    )
+                    assert outcome(symbol_composite, alpha, k, degree) == want
+                    assert outcome(symbol_composite, alpha, -k, degree) == want
+
     def test_rejects_bad_modulus(self):
         with pytest.raises(ValueError):
             symbol_composite(EisensteinInt(1, 1), 6)
@@ -321,6 +344,26 @@ class TestEisensteinFactorization:
             assert prm.is_primary()
             prod = prod * prm ** e
         assert prod == x
+
+    @pytest.mark.parametrize(
+        "wrong", [lambda x, m: x, lambda x, m: ONE], ids=["same", "one"]
+    )
+    def test_wrong_quotient_fails_at_once(self, monkeypatch, wrong):
+        # A quotient that always succeeds would divide forever; the
+        # division count above each r is capped by r's exponent in N(lam).
+        calls = []
+
+        def bounded(x, m):
+            calls.append(m)
+            if len(calls) > 10**5:
+                raise RuntimeError("the division loop is unbounded")
+            return wrong(x, m)
+
+        monkeypatch.setattr(eisenstein, "_quotient", bounded)
+        start = time.perf_counter()
+        with pytest.raises(ArithmeticError, match="incomplete factorization"):
+            eisenstein_factor(primary_split(7) * primary_split(13) ** 2)
+        assert time.perf_counter() - start < 1
 
     def test_symbol_over_eisenstein_modulus(self):
         lam = primary_split(7) * primary_split(13)
