@@ -30,6 +30,7 @@ counting backends.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from math import isqrt
 
@@ -45,11 +46,11 @@ from .curves_mod_p import (
     count_points,
     count_points_cm_j0,
     count_points_naive,
-    ec_mul,
     first_annihilator,
     grossencharacter_j0,
     reduce_curve,
     two_division_roots,
+    x_only_annihilates,
 )
 from .eisenstein import (
     EisensteinInt,
@@ -99,12 +100,14 @@ class _Counter:
     def segment(cls, E: CurveQ, backend: str, lo: int, hi: int):
         """The counter of the segment [lo, hi), and its good primes, from
         one sieve of the window [lo - 2 sqrt(lo) - 2, hi + 2 sqrt(hi) + 3),
-        which holds every image of a p in [lo, hi) by the Hasse bound."""
+        which holds every image of a p in [lo, hi) by the Hasse bound.
+        Only the primes up to |disc| can divide it."""
         wlo = max(2, lo - 2 * isqrt(lo) - 2)
         flags = prime_flags(wlo, hi + 2 * isqrt(hi) + 3)
         count = cls(E, backend, wlo, flags)
-        primes = marked_primes(flags, wlo, lo, hi)
-        return count, [p for p in primes if count.disc % p]
+        primes = list(marked_primes(flags, wlo, lo, hi))
+        cut = bisect_right(primes, abs(count.disc))
+        return count, [p for p in primes[:cut] if count.disc % p] + primes[cut:]
 
     def __call__(self, p: int) -> int:
         v = self.memo.get(p)
@@ -208,8 +211,11 @@ def _verify_step(E: CurveQ, p: int, N: int) -> bool:
     For p >= 37, N > 4 sqrt(p), the width of the window, so N P = O
     with P != O gives ord(P) = N and N as the only multiple of N in
     the window; conversely #E(F_p) = N forces N P = O.  Any point
-    would thus give the same verdict.  Below p = 37, where N <= 4 sqrt(p)
-    can occur, E is counted.
+    would thus give the same verdict.  N P = O is decided by
+    x_only_annihilates, a Montgomery ladder on x(P) alone, which stops
+    at the first multiple mP = O with m < N: then ord(P) < N does not
+    divide the prime N.  Below p = 37, where N <= 4 sqrt(p) can occur,
+    E is counted.
     """
     if (N - p - 1) ** 2 > 4 * p:
         return False
@@ -221,7 +227,8 @@ def _verify_step(E: CurveQ, p: int, N: int) -> bool:
     while pow(f, (p - 1) // 2, p) != 1:
         x += 1
         f = (x * x * x + A * x + B) % p
-    return ec_mul(p, A * f * f % p, N, (x * f % p, f * f % p)) is None
+    ff = f * f % p
+    return x_only_annihilates(p, A * ff % p, B * ff * f % p, N, x * f % p)
 
 
 def verify_cycle(E: CurveQ, primes: tuple[int, ...]) -> bool:

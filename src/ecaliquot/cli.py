@@ -25,13 +25,19 @@ from .aliquot import (
 )
 from .arith import primes_in_range
 # Unused since c6check counts all 18 classes of an ideal at once, by
-# brute force and by the trace formula; perfbench/spans.py patches them.
-from .cm_density import c6_count_bruteforce, c6_count_trace  # noqa: F401
+# brute force and by the trace formula, and finds each symbol's witnesses
+# in one scan; perfbench/spans.py patches them.
+from .cm_density import (  # noqa: F401
+    c6_count_bruteforce,
+    c6_count_trace,
+    class_witness_cubic,
+    class_witness_sextic,
+)
 from .cm_density import (
     _c6_counts_bruteforce,
     _c6_counts_trace,
-    class_witness_cubic,
-    class_witness_sextic,
+    class_witnesses_cubic,
+    class_witnesses_sextic,
     m_counts,
     mk_case,
     predict,
@@ -403,8 +409,8 @@ def c6check(norm_bound, out_format):
         for K in ideals_above(r):
             if K.residue_norm > norm_bound:
                 continue
-            gammas = [class_witness_sextic(K, zeta) for zeta in zetas]
-            deltas = [class_witness_cubic(K, xi) for xi in xis]
+            gammas = class_witnesses_sextic(K, zetas)
+            deltas = class_witnesses_cubic(K, xis)
             actual = _c6_counts_bruteforce(
                 [(gamma, delta) for gamma in gammas for delta in deltas], K
             )

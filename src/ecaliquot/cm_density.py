@@ -410,8 +410,9 @@ def _c6_counts_trace(classes, K: PrimeIdealK) -> list[int]:
     return counts
 
 
-def _class_witness(K: PrimeIdealK, target: Unit6, symbol) -> EisensteinInt:
-    """The first nonzero residue mod K (in scan order) with symbol target."""
+def _class_witnesses(K: PrimeIdealK, targets, symbol) -> list[EisensteinInt]:
+    """For each of targets, the first nonzero residue mod K (in scan
+    order) with that symbol, from one scan that stops once all are seen."""
     if K.kind == "split":
         residues = (EisensteinInt(x, 0) for x in range(1, K.residue_norm))
     else:
@@ -419,22 +420,36 @@ def _class_witness(K: PrimeIdealK, target: Unit6, symbol) -> EisensteinInt:
         residues = (
             EisensteinInt(a, b) for a in range(k) for b in range(k) if a or b
         )
+    wanted = set(targets)
+    first: dict[Unit6, EisensteinInt] = {}
     for cand in residues:
-        if symbol(cand) == target:
-            return cand
-    raise ArithmeticError(f"no residue of class {target} mod {K.generator}")
+        first.setdefault(symbol(cand), cand)
+        if wanted <= first.keys():
+            return [first[t] for t in targets]
+    missing = next(t for t in targets if t not in first)
+    raise ArithmeticError(f"no residue of class {missing} mod {K.generator}")
+
+
+def class_witnesses_sextic(K: PrimeIdealK, zetas) -> list[EisensteinInt]:
+    """class_witness_sextic for each of zetas, from one scan."""
+    return _class_witnesses(K, zetas, lambda g: sextic_symbol(g, K))
+
+
+def class_witnesses_cubic(K: PrimeIdealK, xis) -> list[EisensteinInt]:
+    """class_witness_cubic for each of xis, from one scan."""
+    if any(xi.exp % 2 for xi in xis):
+        raise ValueError("xi must be a cube root of unity")
+    return _class_witnesses(K, xis, lambda d: cubic_symbol(d, K))
 
 
 def class_witness_sextic(K: PrimeIdealK, zeta: Unit6) -> EisensteinInt:
     """The first residue (in scan order) whose sextic symbol is zeta."""
-    return _class_witness(K, zeta, lambda g: sextic_symbol(g, K))
+    return class_witnesses_sextic(K, [zeta])[0]
 
 
 def class_witness_cubic(K: PrimeIdealK, xi: Unit6) -> EisensteinInt:
     """The first residue (in scan order) whose cubic symbol is xi."""
-    if xi.exp % 2 != 0:
-        raise ValueError("xi must be a cube root of unity")
-    return _class_witness(K, xi, lambda d: cubic_symbol(d, K))
+    return class_witnesses_cubic(K, [xi])[0]
 
 
 def c6_count_bruteforce(
@@ -469,10 +484,12 @@ def _c6_counts_bruteforce(pairs, K: PrimeIdealK) -> list[int]:
         complements = b"".join(
             row[:1] + row[:0:-1] for row in (rows[(1 - a) % k] for a in range(k))
         )
-    # the cyclotomic numbers of order 6: the x != 0, 1 by (e(x), e(1 - x))
-    cyclotomic = Counter(zip(exps, complements))
-    for key in [key for key in cyclotomic if NON_UNIT in key]:
-        del cyclotomic[key]
+    # the cyclotomic numbers of order 6, the x != 0, 1 by (e(x), e(1 - x)),
+    # folded by e(x) and e(x) + e(1 - x) mod 3
+    folded = [[0, 0, 0] for _ in range(6)]
+    for (e, ec), n in Counter(zip(exps, complements)).items():
+        if NON_UNIT not in (e, ec):
+            folded[e][(e + ec) % 3] += n
     counts = []
     for gamma, delta in pairs:
         gamma, delta = _coerce(gamma), _coerce(delta)
@@ -480,10 +497,5 @@ def _c6_counts_bruteforce(pairs, K: PrimeIdealK) -> list[int]:
         ed = exps[index(delta.a, delta.b)]
         if NON_UNIT in (eg, ed):
             raise ValueError(f"{gamma} or {delta} is not coprime to the modulus")
-        count = sum(
-            n
-            for (e, ec), n in cyclotomic.items()
-            if e == eg and (e + ec - ed) % 3 == 0
-        )
-        counts.append(18 * count + e_term(Unit6(eg), Unit6(2 * ed)))
+        counts.append(18 * folded[eg][ed % 3] + e_term(Unit6(eg), Unit6(2 * ed)))
     return counts

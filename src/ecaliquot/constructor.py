@@ -22,6 +22,7 @@ from .curves_mod_p import (
     CurveQ,
     count_points,
     ec_mul,
+    two_division_roots,
 )
 from .curves_mod_p import count_points_naive  # noqa: F401  (perfbench patches it)
 
@@ -89,6 +90,8 @@ def curve_with_order(p: int, N: int) -> CurveFp:
     by (p, N), draws coefficients (a, b) and an x with f = x^3 + a x + b
     a square, rejects quickly via N P != O for P = (x f, f^2) on
     y^2 = x^3 + a f^2 x + b f^3, and pays for a full count only then.
+    For odd N, a root of the 2-division cubic (two_division_roots)
+    rejects the curve first, as a point of order 2 makes its order even.
     That model is isomorphic to the curve when f = u^2 != 0, by
     (x, y) -> (f x, u^3 y); at f = 0, P = (0, 0) has order 2, as (x, 0)
     does on the curve, so no square root is needed.
@@ -108,8 +111,11 @@ def curve_with_order(p: int, N: int) -> CurveFp:
         b = rng.randrange(p)
         if (4 * a * a * a + 27 * b * b) % p == 0:
             continue
-        # Quick rejection on the point at a random x, twisted by f.
+        # Quick rejection on the point at a random x, twisted by f; x is
+        # drawn first, so that every rejection leaves the same stream.
         x = rng.randrange(p)
+        if N & 1 and two_division_roots(p, a, b):
+            continue  # a point of order 2: the order is even
         f = (x * x * x + a * x + b) % p
         if pow(f, (p - 1) // 2, p) == p - 1:
             continue  # no point with this x; resample curve

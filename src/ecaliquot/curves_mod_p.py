@@ -43,7 +43,10 @@ y^2 = x^3 + k, and on any other curve searches by BSGS above p = 229.
 A search that needs #E(F_p) only when it is prime asks no backend:
 :func:`first_annihilator` runs the same baby and giant steps on one
 point of E until the first N of the Hasse window with N P = O, which is
-#E(F_p) when N is prime and shows it composite otherwise.
+#E(F_p) when N is prime and shows it composite otherwise.  Nor does the
+prime-order certificate of ``aliquot._verify_step``:
+:func:`x_only_annihilates` decides N P = O for a prime N by a ladder on
+x(P) alone, which no backend calls.
 
 All backends agree wherever their domains overlap, and the test suite
 enforces that.
@@ -275,6 +278,47 @@ def ec_mul(p: int, A: int, n: int, P):
         P = ec_add(p, A, P, P)
         n >>= 1
     return R
+
+
+def x_only_annihilates(p: int, A: int, B: int, N: int, x: int) -> bool:
+    """Whether N P = O for a point P = (x, y) of y^2 = x^3 + Ax + B over
+    F_p (p >= 5), given by x alone, for an odd prime N.
+
+    A Montgomery ladder on (X : Z) keeps R0 = mP and R1 = (m + 1)P for
+    the leading bits m of N, with Brier and Joye's doubling
+    X' = (X^2 - A Z^2)^2 - 8B X Z^3, Z' = 4Z (X^3 + A X Z^2 + B Z^3), and
+    their additive differential addition, since R1 - R0 = P:
+    x(R0 + R1) = (2 (x0 + x1)(x0 x1 + A) + 4B) / (x0 - x1)^2 - x, which
+    holds at x = 0 too, where the multiplicative form loses every
+    multiple.  The formulas are exact while no multiple is O.  An
+    intermediate Z = 0 is a multiple mP = O with 0 < m < N, so ord(P) is
+    below N and does not divide the prime N: N P != O.
+    """
+    B4, B8 = 4 * B, 8 * B
+    X0, Z0 = x, 1
+    xx = x * x
+    X1 = ((xx - A) ** 2 - B8 * x) % p  # R1 = 2P
+    Z1 = 4 * (xx * x + A * x + B) % p
+    for bit in bin(N)[3:]:
+        if not Z0 or not Z1:
+            return False
+        # R0 + R1 from its difference P; then R1 doubles for a 1 bit and
+        # R0 for a 0 bit, which keeps R1 - R0 = P
+        u, v = X0 * Z1, X1 * Z0
+        zz = Z0 * Z1
+        d = (u - v) ** 2 % p
+        Xs = (2 * (u + v) * (X0 * X1 + A * zz) + B4 * zz * zz - x * d) % p
+        if bit == "1":
+            XX, ZZ, XZ = X1 * X1, Z1 * Z1, X1 * Z1
+            X1 = ((XX - A * ZZ) ** 2 - B8 * XZ * ZZ) % p
+            Z1 = 4 * (XZ * (XX + A * ZZ) + B * ZZ * ZZ) % p
+            X0, Z0 = Xs, d
+        else:
+            XX, ZZ, XZ = X0 * X0, Z0 * Z0, X0 * Z0
+            X0 = ((XX - A * ZZ) ** 2 - B8 * XZ * ZZ) % p
+            Z0 = 4 * (XZ * (XX + A * ZZ) + B * ZZ * ZZ) % p
+            X1, Z1 = Xs, d
+    return not Z0
 
 
 # ---------------------------------------------------------------------------
@@ -656,42 +700,55 @@ def cm_j0_counts(k: int, lo: int, flags: bytearray) -> dict[int, int]:
     b > 0 (the one primary_split returns), and a = 2, b = 0 (mod 3).
     The walk runs over those lattice points by b, and over the trace
     c = 2a + b, since 4 N = c^2 + 3 b^2; a prime norm is counted at its
-    primary, with no Cornacchia step and no primality test.  The symbol
-    (4k/pi)_6 = w^e comes from _reciprocity_tables, by lookups on pi mod
-    the primes of 6k, times (m/pi)_6 for the cofactor m of the primes of
-    k too large for the window's tables, by one modular power when
-    m > 1.
+    primary, with no Cornacchia step and no primality test.  So c = 1
+    (mod 3) and c = b (mod 2).  An odd b gives an odd N at every such c,
+    one class mod 6.  An even b = 2 beta, c = 2 gamma gives N = gamma^2
+    + 3 beta^2, odd only when gamma and beta differ in parity: c = 4
+    (mod 12) when beta is odd, c = 10 (mod 12) when beta is even, and
+    the other half of the class mod 6 is skipped, as an even N is never
+    a prime norm (2 is inert).  The symbol (4k/pi)_6 = w^e comes from
+    _reciprocity_tables, by lookups on pi mod the primes of 6k, times
+    (m/pi)_6 for the cofactor m of the primes of k too large for the
+    window's tables, by one modular power when m > 1; the trace is then
+    that of psi = -w^(-e) pi.
     """
     hi = lo + len(flags)
+    k6 = 6 * k
     first = lo + (2 - lo) % 3  # the least n >= lo with n = 2 (mod 3)
-    counts = {
-        n: n + 1
-        for n in compress(range(first, hi, 3), flags[first - lo :: 3])
-        if (6 * k) % n
-    }
+    inert = list(compress(range(first, hi, 3), flags[first - lo :: 3]))
+    counts = dict(zip(inert, [n + 1 for n in inert]))
     by_p, by_ab, rows, m = _reciprocity_tables(k, len(flags))
     for b in range(3, isqrt((4 * hi - 1) // 3) + 1, 3):
         t = 3 * b * b
         low = 4 * lo - t  # c^2 ranges over [low, 4 hi - t)
         c_min = isqrt(low - 1) + 1 if low > 0 else 0
         c_max = isqrt(4 * hi - t - 1)
-        # c = 1 (mod 3) and c = b (mod 2): a residue class mod 6, r or -r
-        r = 1 if b & 1 else 4
+        if b & 1:
+            r, step = 1, 6
+        else:
+            r, step = (4 if b & 2 else 10), 12
         by_a = by_ab[b & 1]
         rows_b = [(q, v, T[b % q :: q]) for q, v, T in rows]
         for c in chain(
-            range(c_min + (r - c_min) % 6, c_max + 1, 6),
-            range(-c_min - (-c_min - r) % 6, -c_max - 1, -6),
+            range(c_min + (r - c_min) % step, c_max + 1, step),
+            range(-c_min - (-c_min - r) % step, -c_max - 1, -step),
         ):
             n = (c * c + t) >> 2
-            if flags[n - lo] and (6 * k) % n:
+            if flags[n - lo] and k6 % n:
                 a = (c - b) >> 1
                 e = by_p[n % 72] + by_a[(a + b) % 18]
                 for q, v, row in rows_b:
                     e += v * row[a % q]
                 if m > 1:
                     e += _symbol_exponent(m, n, a, b)
-                counts[n] = n + 1 + _unit_trace(a, b, -e)
+                # tr(w^j pi) for j = -e: 2a + b = c, a - b, -a - 2b, negated
+                # for j = 3, 4, 5 (mod 6)
+                j = -e % 6
+                tr = c if j % 3 == 0 else a - b if j % 3 == 1 else -a - b - b
+                counts[n] = n + 1 + tr if j < 3 else n + 1 - tr
+    if abs(k6) >= lo:
+        for n in [n for n in inert if k6 % n == 0]:
+            del counts[n]
     return counts
 
 

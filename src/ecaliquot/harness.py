@@ -211,12 +211,13 @@ def _sweep_segment(task: tuple) -> dict:
     images, so counter.image tests a prime image by lookup; only steps
     whose image lies beyond the window reach isprime.  The first steps
     are one counter.images call, and walks start only from primes with
-    a prime image q.  On y^2 = x^3 + k under the cm or auto backend,
-    the counter's memo starts with the count at every good prime of the
-    window, so only chain steps beyond it count one prime at a time.  A
-    pair is a walk back to p in two steps, so the pair check's step is
-    counter.image too.  A prime p of N_k is type 1 iff a_q = q + 1 -
-    #E(F_q) is +-(q + 1 - p): classify_type1's trace route alone.
+    a prime image q, and only when a chain longer than 1 is asked for.
+    On y^2 = x^3 + k under the cm or auto backend, the counter's memo
+    starts with the count at every good prime of the window, so only
+    chain steps beyond it count one prime at a time.  A pair is a walk
+    back to p in two steps, so the pair check's step is counter.image
+    too.  A prime p of N_k is type 1 iff a_q = q + 1 - #E(F_q) is
+    +-(q + 1 - p): classify_type1's trace route alone.
     """
     E, lo, hi, k, lengths, backend = task
     counter, primes = _Counter.segment(E, backend, lo, hi)
@@ -234,10 +235,11 @@ def _sweep_segment(task: tuple) -> dict:
     for p, q in zip(primes, counter.images(primes)):
         if not q:
             continue
-        walk = _walk(counter, p, depth)[0]
-        for L in lengths:
-            if len(walk) >= L > 1:
-                chains[str(L)] += 1
+        if depth > 1:
+            walk = _walk(counter, p, depth)[0]
+            for L in lengths:
+                if len(walk) >= L > 1:
+                    chains[str(L)] += 1
         record["n_prime"] += 1
         # q | disc = -432 k^2 on y^2 = x^3 + k exactly when q | 6k
         if p < 5 or counter.disc % q == 0:

@@ -13,12 +13,15 @@ from math import prod
 import pytest
 
 from ecaliquot import cm_density
+from ecaliquot.arith import primes_in_range
 from ecaliquot.cm_density import (
     _c6_counts_trace,
     c6_count_bruteforce,
     c6_count_trace,
     class_witness_cubic,
     class_witness_sextic,
+    class_witnesses_cubic,
+    class_witnesses_sextic,
     e_term,
     m1_counts_formula,
     m_counts,
@@ -428,6 +431,32 @@ class TestC6Counts:
                 for xe in (0, 2, 4):
                     d = class_witness_cubic(K, Unit6(xe))
                     assert cubic_symbol(d, K) == Unit6(xe)
+
+    def test_one_scan_witnesses_below_norm_500(self):
+        # each class's first residue in the scan order, by one symbol at
+        # a time, at every ideal of norm <= 500
+        zetas = [Unit6(e) for e in range(6)]
+        xis = [Unit6(e) for e in (0, 2, 4)]
+        ideals = 0
+        for r in primes_in_range(5, 501):
+            for K in ideals_above(r):
+                if K.residue_norm > 500:
+                    continue
+                ideals += 1
+                if K.kind == "split":
+                    scan = [EisensteinInt(x, 0) for x in range(1, r)]
+                else:
+                    scan = [EisensteinInt(a, b) for a in range(r) for b in range(r)]
+                    scan = [x for x in scan if x.a or x.b]
+                sextic = [sextic_symbol(x, K) for x in scan]
+                want = [scan[sextic.index(zeta)] for zeta in zetas]
+                assert class_witnesses_sextic(K, zetas) == want, K.generator
+                assert [class_witness_sextic(K, z) for z in zetas] == want
+                cubic = [u**2 for u in sextic]
+                want = [scan[cubic.index(xi)] for xi in xis]
+                assert class_witnesses_cubic(K, xis) == want, K.generator
+                assert [class_witness_cubic(K, xi) for xi in xis] == want
+        assert ideals == 93
 
     @pytest.mark.parametrize("r", [7, 13, 19, 31, 37, 5, 11])
     def test_bruteforce_equals_literal_double_loop(self, r):

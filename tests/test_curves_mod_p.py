@@ -18,6 +18,7 @@ from ecaliquot.curves_mod_p import (
     _order_candidates,
     cm_j0_counts,
     count_points,
+    _count_cm_j0,
     count_points_bsgs,
     count_points_cm_j0,
     count_points_naive,
@@ -29,6 +30,7 @@ from ecaliquot.curves_mod_p import (
     torsion_obstruction,
     trace_a_p,
     two_division_roots,
+    x_only_annihilates,
 )
 from ecaliquot.eisenstein import EisensteinInt
 
@@ -450,6 +452,26 @@ class TestCmReciprocity:
         assert cm_j0_counts(385, 10**6, flags) == want
 
 
+class TestParityWheel:
+    """cm_j0_counts, which skips the lattice points of even norm, against
+    _count_cm_j0, the Cornacchia route, at every good prime of a window."""
+
+    @pytest.mark.parametrize("k", [7, -7, 91, 7 * 251, 7 * 65537])
+    @pytest.mark.parametrize("lo", [2, 10**6, 10**8])
+    def test_every_good_prime_of_a_window(self, k, lo):
+        # a census segment's width: 7 * 251 fills the tables to their
+        # bound, and 65537 is left in the cofactor
+        flags = prime_flags(lo, lo + (1 << 16))
+        m = curves_mod_p._reciprocity_tables(k, len(flags))[3]
+        assert m == (65537 if k == 7 * 65537 else 1)
+        counts = cm_j0_counts(k, lo, flags)
+        primes = primes_in_range(max(lo, 5), lo + len(flags))
+        assert sorted(counts) == [p for p in primes if (6 * k) % p]
+        assert sum(p % 3 == 1 for p in counts) > 1700
+        for p, n in counts.items():
+            assert n == _count_cm_j0(k, p), (k, p)
+
+
 def _naive_counts(E, lo, hi):
     return {
         p: count_points_naive(reduce_curve(E, p))
@@ -517,6 +539,89 @@ class TestPointArithmetic:
         for n in range(1, 8):
             acc = ec_add(p, 2, acc, P)
             assert acc == ec_mul(p, 2, n, P)
+
+
+def _twisted_point(p, A, B, x):
+    """(A f^2, B f^3, x f, f^2): the point (x f, f^2) of the short model
+    twisted by f = x^3 + Ax + B, a point of the curve or of its quadratic
+    twist, for f != 0."""
+    f = (x * x * x + A * x + B) % p
+    return A * f * f % p, B * f * f * f % p, x * f % p, f * f % p
+
+
+class TestXOnlyLadder:
+    """x_only_annihilates against ec_mul(...) is None, the affine oracle."""
+
+    @staticmethod
+    def _agree(p, A, B, P, Ns):
+        """The number of N in Ns with N P = O; fails on a disagreement."""
+        hits = 0
+        for N in Ns:
+            want = ec_mul(p, A, N, P) is None
+            assert x_only_annihilates(p, A, B, N, P[0]) == want, (p, A, B, P, N)
+            hits += want
+        return hits
+
+    @staticmethod
+    def _window_primes(p, n, width):
+        return [N for N in range(n - width, n + width + 1) if N > 2 and isprime(N)]
+
+    def test_43a_below_3000_in_the_widened_hasse_window(self):
+        # the certificate's point, x(P) = 0 among them, and the next
+        # points of the curve and of its twist
+        verdicts = hits = at_zero = 0
+        for p in primes_in_range(5, 3000):
+            if not E2.has_good_reduction(p):
+                continue
+            a, b = reduce_curve(E2, p).short_model()
+            Ns = self._window_primes(p, p + 1, isqrt(4 * p) + 8)
+            for x in range(4):
+                if (x * x * x + a * x + b) % p == 0:
+                    continue
+                A, B, xf, yf = _twisted_point(p, a, b, x)
+                hits += self._agree(p, A, B, (xf, yf), Ns)
+                verdicts += len(Ns)
+                at_zero += xf == 0
+        assert verdicts > 30000 and hits > 100 and at_zero > 200
+
+    @pytest.mark.parametrize("base", [10**4, 10**6, 10**8])
+    def test_sampled_primes(self, base):
+        # N near the count, so that the true verdicts are met too; the
+        # primes from base on until 12, 3 of them with a prime count
+        hits = seen = 0
+        p = base
+        while seen < 12 or hits < 3:
+            p = int(nextprime(p))
+            Ep = reduce_curve(E2, p)
+            a, b = Ep.short_model()
+            n = count_points_bsgs(Ep)
+            x = next(x for x in range(p) if pow(x**3 + a * x + b, (p - 1) // 2, p) == 1)
+            A, B, xf, yf = _twisted_point(p, a, b, x)
+            hits += self._agree(p, A, B, (xf, yf), self._window_primes(p, n, 60))
+            seen += 1
+
+    def test_x_zero(self):
+        # (0, 1) on y^2 = x^3 + Ax + 1, where the multiplicative
+        # differential addition would lose every multiple
+        hits = 0
+        for p in primes_in_range(5, 300):
+            for A in range(p):
+                if (4 * A**3 + 27) % p == 0:
+                    continue
+                n = count_points_naive(CurveFp.short(p, A, 1))
+                if isprime(n) and n > 2:
+                    hits += self._agree(p, A, 1, (0, 1), self._window_primes(p, n, 6))
+        assert hits > 500
+
+    def test_small_order_met_mid_ladder(self):
+        # On y^2 = x^3 + 1, (0, 1) has order 3 and (2, 3) order 6.  The
+        # ladder for N = 7 = 0b111 holds 3P after two bits, and for
+        # N = 13 = 0b1101 it holds 3P and then 6P: a Z = 0 before the end.
+        for p in primes_in_range(5, 200):
+            for P, order in (((0, 1), 3), ((2, 3), 6)):
+                assert ec_mul(p, 0, order, P) is None
+                assert self._agree(p, 0, 1, P, [7, 13]) == 0
+                assert self._agree(p, 0, 1, P, primes_in_range(5, 300)) == 0
 
 
 class TestTorsionObstruction:

@@ -386,6 +386,13 @@ class TestSweepAgainstSerialSearch:
         for L in (1, 2, 3):
             assert report.chain_count(L) == chain_count(E1, L, X)
 
+    @pytest.mark.parametrize("lengths", [(2,), (1,)])
+    def test_walks_only_for_a_chain_longer_than_1(self, lengths):
+        X = 20_000
+        report = run_pair_sweep(ExperimentConfig(curve=E1, x_bound=X, lengths=lengths))
+        for L in lengths:
+            assert report.chain_count(L) == chain_count(E1, L, X) > 0
+
     def test_literal_walk_reference(self):
         want = _literal_walks(REFERENCE_CURVE, 5_000, "auto")
         anomalous = [103, 127, 541, 1429, 1657, 2087, 3733]
