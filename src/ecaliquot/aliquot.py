@@ -7,18 +7,21 @@ possible values of #E(F_q) given #E(F_p) = q collapse to two, and for
 j = 0 the sextic residue symbol decides between them; the helpers at
 the bottom of the module implement those dichotomies exactly.
 
-Every census, search or sweep, steps over the same segments: for each
-segment [lo, hi) of its primes, _Counter.segment sieves the window that
-holds every image of the segment once, and builds the counter on it.
-Every search folds over one walk, whose step _Counter.image returns
-only what a cycle needs: a prime image, or 0.  Its primality comes from
-the window's flags, and from isprime only for images beyond them; on
-y^2 = x^3 + k the CM formula counts the whole window at once.  A
-segment's first step is one _Counter.images call, and walks start only
-from primes with a prime image.  One test of the 2-torsion of E(F_p)
-stops the walk without counting: any root of the 2-division cubic in
-F_p is a point of order 2, so #E(F_p) is
-even and, for p >= 7, composite.  One Legendre symbol tells one root
+The module owns the one segment kernel, _sweep_segment: a sweep's
+workers run it on the cells of their grid, and the cycle search folds
+it over the default grid.  For each segment [lo, hi) of its primes,
+_Counter.segment sieves the window that holds every image of the
+segment once, and builds the counter on it.  Each prime of the segment
+takes at most one walk, which gives its chains, its pair and its
+closed walks of every requested length at once; its step
+_Counter.image returns only what a cycle needs: a prime image, or 0.
+Its primality comes from the window's flags, and from isprime only for
+images beyond them; on y^2 = x^3 + k the CM formula counts the whole
+window at once.  A segment's first step is one _Counter.images call,
+and walks start only from primes with a prime image.  One test of the
+2-torsion of E(F_p) stops the walk without counting: any root of the
+2-division cubic in F_p is a point of order 2, so #E(F_p) is even and,
+for p >= 7, composite.  One Legendre symbol tells one root
 from 0 or 3, and a Lucas sequence tells 0 from 3.  With no root,
 #E(F_p) is odd.  Above MESTRE_BOUND on a curve that BSGS counts, the
 step then asks for no count: a point P of E and the first odd N in the
@@ -165,19 +168,6 @@ class _Counter:
         return isprime(n)
 
 
-def next_value(E: CurveQ, p: int, backend: str = "auto") -> int | None:
-    """The aliquot step: q = #E(F_p) if q is a prime of good reduction.
-
-    Returns None when the walk stops (q composite or bad reduction at q).
-    p must be a prime of good reduction; reduce_curve checks primality.
-    """
-    count = _Counter(E, backend)
-    if not reduce_curve(E, p).good:
-        raise ValueError(f"bad reduction at {p}")
-    q = count.image(p)
-    return q if q and count.disc % q else None
-
-
 @dataclass(frozen=True)
 class AliquotCycle:
     """An aliquot cycle, normalized to start at its smallest prime."""
@@ -250,24 +240,21 @@ def _verified(E: CurveQ, primes: tuple[int, ...]) -> tuple[int, ...]:
     return primes
 
 
-def _walk(
-    count: _Counter, p: int, length: int, floor: int = 0
-) -> tuple[list[int], int | None]:
+def _walk(count: _Counter, p: int, length: int) -> tuple[list[int], int | None]:
     """The aliquot walk p = p_1 -> p_2 -> ... through at most length primes.
 
-    Each p_{i+1} = #E(F_{p_i}) is a prime that is new to the walk and
-    >= floor.  The walk steps only from primes of good reduction, so
-    only its last prime can be bad.  Each step is count.image, which
-    decides primality.  Returns (walk, stop): stop is the image that
-    ended the walk early (0 for any image that is not prime, counted or
-    not), or None when the walk reached length primes or a bad prime;
-    callers only compare stop with p.  Every search and sweep folds
-    over it.
+    Each p_{i+1} = #E(F_{p_i}) is a prime that is new to the walk.  The
+    walk steps only from primes of good reduction, so only its last
+    prime can be bad.  Each step is count.image, which decides
+    primality.  Returns (walk, stop): stop is the image that ended the
+    walk early (0 for any image that is not prime, counted or not), or
+    None when the walk reached length primes or a bad prime; a walk
+    closes when stop is p.
     """
     walk = [p]
     while len(walk) < length and count.disc % walk[-1]:
         q = count.image(walk[-1])
-        if not q or q < floor or q in walk:
+        if not q or q in walk:
             return walk, q
         walk.append(q)
     return walk, None
@@ -281,27 +268,89 @@ def _segment_grid(x_bound: int, segment_size: int) -> list[tuple[int, int]]:
     ]
 
 
-def _census(E: CurveQ, backend: str, X: int):
-    """(count, primes) for each segment of _segment_grid(X, SEGMENT_SIZE):
-    its counter and its good primes."""
+def _sweep_segment(task: tuple) -> dict:
+    """Tally one prime segment [lo, hi) of E; returns a JSON-ready record.
+
+    task is (E, lo, hi, k, lengths, backend), with k the k of
+    y^2 = x^3 + k or None.  _Counter.segment gives the segment's good
+    primes and a counter on the sieved window that holds all their
+    images, so counter.image tests a prime image by lookup; only steps
+    whose image lies beyond the window reach isprime.  The first steps
+    are one counter.images call, and each p with a prime image q takes
+    at most one _walk, which yields every tally:
+    - chains[L] counts the walks that reach L primes (every good prime
+      is a chain of length 1);
+    - a walk that closes is counted once, from its least prime p, so
+      it starts upwards (q >= p) and needs one step more than its
+      length; cycles[L] lists the closed walks of length L, and pairs
+      the closed 2-walks with p >= 5;
+    so a walk that starts downwards is taken only when a chain longer
+    than 1 is asked for, and then only as deep as the longest chain.
+    Each closed walk that is kept is re-verified once by _verified.  On
+    y^2 = x^3 + k under the cm or auto backend, the counter's memo
+    starts with the count at every good prime of the window, so only
+    steps beyond it count one prime at a time.  A prime p of N_k is
+    type 1 iff a_q = q + 1 - #E(F_q) is +-(q + 1 - p): classify_type1's
+    trace route alone.
+    """
+    E, lo, hi, k, lengths, backend = task
+    counter, primes = _Counter.segment(E, backend, lo, hi)
+    up, down = max((2, *lengths)) + 1, max((1, *lengths))
+    chains = {str(L): len(primes) if L == 1 else 0 for L in lengths}
+    cycles = {str(L): [] for L in lengths}
+    record = {
+        "lo": lo,
+        "hi": hi,
+        "n_prime": 0,
+        "pairs": [],
+        "n_k": 0,
+        "n_type1": 0,
+        "chains": chains,
+        "cycles": cycles,
+    }
+    for p, q in zip(primes, counter.images(primes)):
+        if not q:
+            continue
+        record["n_prime"] += 1
+        depth = up if q >= p else down
+        if depth > 1:
+            walk, stop = _walk(counter, p, depth)
+            for L in lengths:
+                if len(walk) >= L > 1:
+                    chains[str(L)] += 1
+            if stop == p and min(walk) == p:
+                kept = cycles.get(str(len(walk)))
+                pair = len(walk) == 2 and p >= 5
+                if pair or kept is not None:
+                    cycle = list(_verified(E, tuple(walk)))
+                    if pair:
+                        record["pairs"].append(cycle)
+                    if kept is not None:
+                        kept.append(cycle)
+        # q | disc = -432 k^2 on y^2 = x^3 + k exactly when q | 6k
+        if k is not None and p >= 5 and counter.disc % q:
+            record["n_k"] += 1
+            if q + 1 - counter(q) in (q + 1 - p, p - q - 1):
+                record["n_type1"] += 1
+    return record
+
+
+def _cycle_census(
+    E: CurveQ, lengths: tuple[int, ...], X: int, backend: str
+) -> dict[int, list[AliquotCycle]]:
+    """The aliquot cycles of each length in lengths whose least prime is
+    <= X, from one serial fold of _sweep_segment over
+    _segment_grid(X, SEGMENT_SIZE)."""
+    if any(L < 1 for L in lengths):
+        raise ValueError("length must be >= 1")
     if backend not in BACKENDS:  # also where X < 2 builds no counter
         raise ValueError(f"backend must be one of {BACKENDS}")
+    found: dict[int, list[AliquotCycle]] = {L: [] for L in lengths}
     for lo, hi in _segment_grid(X, SEGMENT_SIZE):
-        yield _Counter.segment(E, backend, lo, hi)
-
-
-def _closed_walks(E: CurveQ, length: int, X: int, backend: str):
-    """Walks from good p <= X that return to p after length primes.
-
-    The floor p prunes each walk at its first image below p, so every
-    closed walk is found once, from its smallest prime.
-    """
-    for count, primes in _census(E, backend, X):
-        for p, q in zip(primes, count.images(primes)):
-            if q >= p:
-                walk, stop = _walk(count, p, length + 1, floor=p)
-                if stop == p and len(walk) == length:
-                    yield tuple(walk)
+        cycles = _sweep_segment((E, lo, hi, None, lengths, backend))["cycles"]
+        for L in lengths:
+            found[L] += (AliquotCycle(tuple(c)) for c in cycles[str(L)])
+    return found
 
 
 def aliquot_cycles_up_to(
@@ -312,41 +361,7 @@ def aliquot_cycles_up_to(
     Every returned cycle has been re-verified by verify_cycle, which
     shares no code with the counting backends.
     """
-    if length < 1:
-        raise ValueError("length must be >= 1")
-    return [
-        AliquotCycle(_verified(E, primes))
-        for primes in _closed_walks(E, length, X, backend)
-    ]
-
-
-def amicable_pairs_up_to(
-    E: CurveQ, X: int, backend: str = "auto"
-) -> list[tuple[int, int]]:
-    """All amicable pairs (p, q), p < q, with p <= X, ordered by p.
-
-    Both primes must be >= 5 and of good reduction; q itself may
-    exceed X.  Every pair is re-verified like a cycle.
-    """
-    pairs = _closed_walks(E, 2, X, backend)
-    return [_verified(E, pq) for pq in pairs if pq[0] >= 5]
-
-
-def chain_count(E: CurveQ, length: int, X: int, backend: str = "auto") -> int:
-    """The number of aliquot chains (p_1, ..., p_L) with p_1 <= X.
-
-    A chain consists of distinct primes with #E(F_{p_i}) = p_{i+1};
-    p_1 must have good reduction (as must every prime that is stepped
-    from), but the final prime is only required to be prime and new.
-    """
-    if length < 1:
-        raise ValueError("length must be >= 1")
-    return sum(  # a chain of length 1 takes no step
-        len(_walk(count, p, length)[0]) == length
-        for count, primes in _census(E, backend, X)
-        for p, q in zip(primes, count.images(primes) if length > 1 else primes)
-        if q
-    )
+    return _cycle_census(E, (length,), X, backend)[length]
 
 
 # ---------------------------------------------------------------------------

@@ -18,11 +18,10 @@ import sys
 
 import click
 
-from .aliquot import (
-    aliquot_cycles_up_to,
-    iterate_type_map,
-    verify_cycle,
-)
+from .aliquot import _cycle_census, iterate_type_map, verify_cycle
+# Unused since cycles makes one census pass for all of its lengths;
+# perfbench/spans.py patches it.
+from .aliquot import aliquot_cycles_up_to  # noqa: F401
 from .arith import primes_in_range
 # Unused since c6check counts all 18 classes of an ideal at once, by
 # brute force and by the trace formula, and finds each symbol's witnesses
@@ -224,15 +223,12 @@ def cycles(curve, k, x_bound, lengths, backend, out_format):
     wanted = _parse_ints(lengths, "--lengths")
     if len(set(wanted)) != len(wanted):
         raise ValueError("cycle lengths must be distinct")
-    rows = []
-    for length in wanted:
-        for cycle in aliquot_cycles_up_to(E, length, x_bound, backend):
-            rows.append(
-                {
-                    "length": cycle.length,
-                    "primes": " ".join(str(p) for p in cycle.primes),
-                }
-            )
+    found = _cycle_census(E, wanted, x_bound, backend)
+    rows = [
+        {"length": length, "primes": " ".join(str(p) for p in cycle.primes)}
+        for length in wanted
+        for cycle in found[length]
+    ]
     _emit(rows, out_format)
     click.echo(f"# {E}: {len(rows)} cycle(s)", err=True)
 

@@ -326,11 +326,6 @@ def predict(k: int) -> DensityPrediction:
     return DensityPrediction(k, mk_case(k), m, m1, Fraction(m1, m))
 
 
-def predicted_density(k: int) -> Fraction:
-    """The conjectural density of Type 1 primes in N_k."""
-    return predict(k).density
-
-
 # ---------------------------------------------------------------------------
 # Per-ideal class counts and the genus-4 curve C6
 
@@ -347,14 +342,6 @@ def _m_K1_table(K: PrimeIdealK) -> dict[tuple[int, int], int]:
             raise ArithmeticError(f"#C6 - e is not 18 #M_K^[1] at {K.generator}")
         table[zeta.exp, xi.exp] = count
     return table
-
-
-def m_K1_sub(zeta: Unit6, xi: Unit6, K: PrimeIdealK) -> int:
-    """#{lam in the residue field of K: (lam/K)_6 = zeta and
-    (lam(1-lam)/K)_3 = xi}."""
-    if xi.exp % 2 != 0:
-        raise ValueError("xi must be a cube root of unity")
-    return _m_K1_table(K).get((zeta.exp, xi.exp), 0)
 
 
 def e_term(zeta: Unit6, xi: Unit6) -> int:

@@ -777,10 +777,6 @@ def count_points(E: CurveFp, backend: str = "auto") -> int:
     return count_points_bsgs(E)
 
 
-def trace_a_p(E: CurveFp, backend: str = "auto") -> int:
-    return E.p + 1 - count_points(E, backend)
-
-
 def torsion_obstruction(E: CurveQ, primes_to_check: int = 20) -> bool:
     """True iff the counts mod many primes share a factor > 1.
 

@@ -3,11 +3,13 @@
 A sweep walks every prime p <= X, applies the aliquot step q = #E(F_p),
 and tallies the quantities the rest of the library reasons about: the
 primes with prime image, the amicable pairs, the refined (type 1)
-primes of a Mordell curve, and the chain counts for requested lengths.
-The prime range is cut into a fixed grid of segments so that results
-are byte-for-byte identical no matter how many worker processes share
-the grid, and each finished segment can be checkpointed to disk and
-skipped on resume.
+primes of a Mordell curve, and the chain counts and aliquot cycles for
+requested lengths.  Each segment is tallied by aliquot's one segment
+kernel, _sweep_segment; this module only schedules the segments,
+checkpoints their records and merges them.  The prime range is cut
+into a fixed grid of segments so that results are byte-for-byte
+identical no matter how many worker processes share the grid, and each
+finished segment can be checkpointed to disk and skipped on resume.
 
 Reports hold raw counts only; every ratio is derived on demand so that
 printed tables always agree with the integers behind them.
@@ -24,7 +26,10 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
 
-from .aliquot import SEGMENT_SIZE, _Counter, _segment_grid, _verified, _walk
+from .aliquot import SEGMENT_SIZE, _segment_grid, _sweep_segment
+# Unused since the segment kernel lives in aliquot; perfbench/spans.py
+# patches it.
+from .aliquot import _Counter  # noqa: F401
 # Unused since sweeps tally type 1 by the trace route; perfbench/spans.py
 # patches it.
 from .aliquot import classify_type1  # noqa: F401
@@ -105,9 +110,9 @@ class ExperimentConfig:
 
     Exactly one of `curve` / `k` must identify the curve (`k` is the
     Mordell shorthand y^2 = x^3 + k).  `lengths` requests aliquot chain
-    counts.  `segment_size` fixes the work grid and therefore the
-    checkpoint layout; two configs with different grids are different
-    experiments.
+    counts and cycles.  `segment_size` fixes the work grid and therefore
+    the checkpoint layout; two configs with different grids are
+    different experiments.
     """
 
     curve: CurveQ | None = None
@@ -153,11 +158,13 @@ class SweepReport:
 
     n_prime counts good primes p <= X whose point count is prime;
     pairs lists the amicable pairs (p, q) with 5 <= p <= X in
-    increasing order, each re-verified by verify_cycle; n_k / n_type1 refine the count for Mordell
-    curves to good primes p >= 5 whose prime image q is again good
-    (and, of those, the type 1 primes); chains maps each requested
-    length L to the number of aliquot chains of length L starting
-    at p <= X.
+    increasing order, each re-verified by verify_cycle; n_k / n_type1
+    refine the count for Mordell curves to good primes p >= 5 whose
+    prime image q is again good (and, of those, the type 1 primes);
+    chains maps each requested length L to the number of aliquot chains
+    of length L starting at p <= X, and cycles to the aliquot cycles of
+    length L whose least prime p <= X comes first, in increasing order
+    of p, each re-verified like a pair.
     """
 
     curve: str
@@ -168,6 +175,7 @@ class SweepReport:
     n_k: int | None
     n_type1: int | None
     chains: tuple[tuple[int, int], ...]
+    cycles: tuple[tuple[int, tuple[tuple[int, ...], ...]], ...] = ()
     elapsed: float = field(compare=False, default=0.0)
 
     def __post_init__(self) -> None:
@@ -201,64 +209,11 @@ class SweepReport:
 
 
 # ---------------------------------------------------------------------------
-# segment workers
-
-def _sweep_segment(task: tuple) -> dict:
-    """Tally one prime segment [lo, hi); returns a JSON-ready record.
-
-    _Counter.segment, the step of every census, gives the segment's good
-    primes and a counter on the sieved window that holds all their
-    images, so counter.image tests a prime image by lookup; only steps
-    whose image lies beyond the window reach isprime.  The first steps
-    are one counter.images call, and walks start only from primes with
-    a prime image q, and only when a chain longer than 1 is asked for.
-    On y^2 = x^3 + k under the cm or auto backend, the counter's memo
-    starts with the count at every good prime of the window, so only
-    chain steps beyond it count one prime at a time.  A pair is a walk
-    back to p in two steps, so the pair check's step is counter.image
-    too.  A prime p of N_k is type 1 iff a_q = q + 1 - #E(F_q) is
-    +-(q + 1 - p): classify_type1's trace route alone.
-    """
-    E, lo, hi, k, lengths, backend = task
-    counter, primes = _Counter.segment(E, backend, lo, hi)
-    depth = max(lengths, default=1)
-    chains = {str(L): len(primes) if L == 1 else 0 for L in lengths}
-    record = {
-        "lo": lo,
-        "hi": hi,
-        "n_prime": 0,
-        "pairs": [],
-        "n_k": 0,
-        "n_type1": 0,
-        "chains": chains,
-    }
-    for p, q in zip(primes, counter.images(primes)):
-        if not q:
-            continue
-        if depth > 1:
-            walk = _walk(counter, p, depth)[0]
-            for L in lengths:
-                if len(walk) >= L > 1:
-                    chains[str(L)] += 1
-        record["n_prime"] += 1
-        # q | disc = -432 k^2 on y^2 = x^3 + k exactly when q | 6k
-        if p < 5 or counter.disc % q == 0:
-            continue
-        if q > p and counter.image(q) == p:
-            record["pairs"].append(list(_verified(E, (p, q))))
-        if k is not None:
-            record["n_k"] += 1
-            if q + 1 - counter(q) in (q + 1 - p, p - q - 1):
-                record["n_type1"] += 1
-    return record
-
-
-# ---------------------------------------------------------------------------
 # checkpointing
 
 # The keys of every _sweep_segment record, and those that hold counts.
 _COUNT_KEYS = ("lo", "hi", "n_prime", "n_k", "n_type1")
-_RECORD_KEYS = {*_COUNT_KEYS, "pairs", "chains"}
+_RECORD_KEYS = {*_COUNT_KEYS, "pairs", "chains", "cycles"}
 
 
 def _canonical_json(payload) -> str:
@@ -270,7 +225,7 @@ def _config_fingerprint(cfg: ExperimentConfig) -> str:
     return _canonical_json(
         {
             "kind": "pair_sweep",
-            "version": 1,
+            "version": 2,
             "curve": str(cfg.resolved_curve()),
             "x_bound": cfg.x_bound,
             "backend": cfg.backend,
@@ -284,23 +239,32 @@ def _is_count(x) -> bool:
     return type(x) is int and x >= 0
 
 
+def _are_walks(walks, length: int) -> bool:
+    """True iff walks is a list of lists of length ints."""
+    return isinstance(walks, list) and all(
+        isinstance(w, list) and len(w) == length and all(type(v) is int for v in w)
+        for w in walks
+    )
+
+
 def _is_record(record, cells: dict[int, int], lengths: tuple[int, ...]) -> bool:
     """True iff record is a _sweep_segment record of one of the grid's
-    cells (lo -> hi) with chain counts for exactly these lengths."""
+    cells (lo -> hi) with chain counts and cycles for exactly these
+    lengths."""
     if not isinstance(record, dict) or record.keys() != _RECORD_KEYS:
         return False
-    pairs, chains = record["pairs"], record["chains"]
+    chains, cycles = record["chains"], record["cycles"]
+    keys = {str(L) for L in lengths}
     return (
         all(_is_count(record[key]) for key in _COUNT_KEYS)
         and cells.get(record["lo"]) == record["hi"]
-        and isinstance(pairs, list)
-        and all(
-            isinstance(pq, list) and len(pq) == 2 and all(type(v) is int for v in pq)
-            for pq in pairs
-        )
+        and _are_walks(record["pairs"], 2)
         and isinstance(chains, dict)
-        and chains.keys() == {str(L) for L in lengths}
+        and chains.keys() == keys
         and all(_is_count(n) for n in chains.values())
+        and isinstance(cycles, dict)
+        and cycles.keys() == keys
+        and all(_are_walks(cycles[str(L)], L) for L in lengths)
     )
 
 
@@ -426,6 +390,7 @@ def run_pair_sweep(cfg: ExperimentConfig) -> SweepReport:
     n_k = 0
     n_type1 = 0
     chains = dict.fromkeys(cfg.lengths, 0)
+    cycles: dict[int, list[tuple[int, ...]]] = {L: [] for L in cfg.lengths}
     for lo, _ in grid:
         record = done[lo]
         n_prime += record["n_prime"]
@@ -434,6 +399,7 @@ def run_pair_sweep(cfg: ExperimentConfig) -> SweepReport:
         n_type1 += record["n_type1"]
         for L in cfg.lengths:
             chains[L] += record["chains"][str(L)]
+            cycles[L] += map(tuple, record["cycles"][str(L)])
     return SweepReport(
         curve=str(E),
         x_bound=cfg.x_bound,
@@ -443,6 +409,7 @@ def run_pair_sweep(cfg: ExperimentConfig) -> SweepReport:
         n_k=n_k if k is not None else None,
         n_type1=n_type1 if k is not None else None,
         chains=tuple((L, chains[L]) for L in cfg.lengths),
+        cycles=tuple((L, tuple(cycles[L])) for L in cfg.lengths),
         elapsed=time.monotonic() - start,
     )
 

@@ -40,7 +40,7 @@ from ecaliquot.cm_density import (
     m_k_set,
     mk_case,
     ok_sharp,
-    predicted_density,
+    predict,
     r_of_k,
 )
 from ecaliquot.constructor import build_cycle_curve
@@ -310,7 +310,7 @@ class TestResidueTableRows:
         assert len(ok_sharp(k)) == n_ok
         assert len(m_k_set(k)) == n_m
         assert len(m_k1_set(k)) == n_m1
-        assert predicted_density(k) == Fraction(n_m1, n_m)
+        assert predict(k).density == Fraction(n_m1, n_m)
 
 
 class TestResidueClosedForms:
@@ -331,11 +331,11 @@ class TestDensityPredictions:
     def test_prime_identity(self, k):
         _, n_m, n_m1 = m_counts(k)
         assert Fraction(1, 3) + r_of_k(k) == Fraction(n_m1, n_m)
-        assert predicted_density(k) == PRIME_DENSITIES[k]
+        assert predict(k).density == PRIME_DENSITIES[k]
 
     @pytest.mark.parametrize("k", sorted(COMPOSITE_DENSITIES))
     def test_composite_prediction(self, k):
-        assert predicted_density(k) == COMPOSITE_DENSITIES[k]
+        assert predict(k).density == COMPOSITE_DENSITIES[k]
 
 
 class TestSexticCurveCounts:

@@ -14,16 +14,13 @@ from ecaliquot.aliquot import (
     _verify_step,
     _walk,
     aliquot_cycles_up_to,
-    amicable_pairs_up_to,
     bad_trace,
     candidate_traces_j0,
-    chain_count,
     classify_type1,
     cm_next_values,
     iterate_type_map,
     j0_triple_case_values,
     l_series_coefficient,
-    next_value,
     recursion_term,
     type_l_step,
     type_n_step,
@@ -39,12 +36,24 @@ from ecaliquot.curves_mod_p import (
     two_division_roots,
 )
 from ecaliquot.eisenstein import Unit6
+from ecaliquot.harness import ExperimentConfig, run_pair_sweep
 
 E1 = CurveQ(0, 0, 1, -1, 0)
 E2 = CurveQ(0, 1, 1, 0, 0)
 MORDELL2 = CurveQ.mordell(2)
 TRIPLE_CURVE = CurveQ.short(-25, -8)
 E14 = CurveQ(1, 0, 1, 4, -6)  # 14a1: a1 and a3 both nonzero
+
+
+def _pairs(E: CurveQ, X: int, backend: str = "auto") -> tuple:
+    """The amicable pairs (p, q) with p <= X, from one sweep."""
+    return run_pair_sweep(ExperimentConfig(curve=E, x_bound=X, backend=backend)).pairs
+
+
+def _chain_count(E: CurveQ, length: int, X: int, backend: str = "auto") -> int:
+    """The number of aliquot chains of length with p_1 <= X, from one sweep."""
+    cfg = ExperimentConfig(curve=E, x_bound=X, lengths=(length,), backend=backend)
+    return run_pair_sweep(cfg).chain_count(length)
 
 
 def _hasse_primes(p: int) -> list[int]:
@@ -55,54 +64,60 @@ def _hasse_primes(p: int) -> list[int]:
 
 class TestNextValue:
     def test_steps(self):
-        assert next_value(MORDELL2, 13) == 19
-        assert next_value(MORDELL2, 19) == 13
-        assert next_value(MORDELL2, 5) is None  # count 6 is composite
+        count = _Counter(MORDELL2)
+        assert count.image(13) == 19
+        assert count.image(19) == 13
+        assert count.image(5) == 0  # count 6 is composite
 
     def test_bad_reduction_raises(self):
-        with pytest.raises(ValueError):
-            next_value(E1, 37)
+        # Counting at a prime of bad reduction raises, and the walk
+        # takes no step from one.
+        with pytest.raises(ValueError, match="bad reduction"):
+            _Counter(E1)(37)
+        assert _walk(_Counter(E1), 37, 3) == ([37], None)
 
     def test_composite_raises(self):
         with pytest.raises(ValueError):
-            next_value(MORDELL2, 9)
+            reduce_curve(MORDELL2, 9)
 
     def test_none_when_next_has_bad_reduction(self):
-        # #E(F_11) = 7 is prime but y^2 = x^3 - 5x - 5 is singular mod 7.
+        # #E(F_11) = 7 is prime but y^2 = x^3 - 5x - 5 is singular mod 7,
+        # so the walk ends at 7.
         E = CurveQ.short(-5, -5)
         assert count_points(reduce_curve(E, 11)) == 7
         assert not E.has_good_reduction(7)
-        assert next_value(E, 11) is None
+        assert _walk(_Counter(E), 11, 3) == ([11, 7], None)
 
 
 class TestAmicablePairs:
     def test_mordell2_first_pairs(self):
-        assert amicable_pairs_up_to(MORDELL2, 2000, backend="cm") == [
+        assert _pairs(MORDELL2, 2000, backend="cm") == (
             (13, 19),
             (139, 163),
             (541, 571),
             (613, 661),
             (757, 787),
             (1693, 1741),
-        ]
+        )
 
     def test_backends_agree(self):
-        assert amicable_pairs_up_to(MORDELL2, 2000, backend="auto") == (
-            amicable_pairs_up_to(MORDELL2, 2000, backend="cm")
+        assert _pairs(MORDELL2, 2000, backend="auto") == (
+            _pairs(MORDELL2, 2000, backend="cm")
         )
 
     def test_e2_small(self):
-        assert amicable_pairs_up_to(E2, 10**4) == [(853, 883)]
+        assert _pairs(E2, 10**4) == ((853, 883),)
 
     def test_pairs_are_symmetric_walks(self):
-        for p, q in amicable_pairs_up_to(MORDELL2, 2000, backend="cm"):
-            assert next_value(MORDELL2, p, backend="cm") == q
-            assert next_value(MORDELL2, q, backend="cm") == p
+        count = _Counter(MORDELL2, "cm")
+        for p, q in _pairs(MORDELL2, 2000, backend="cm"):
+            assert count.image(p) == q
+            assert count.image(q) == p
 
     def test_lying_counter_is_caught(self, monkeypatch, lying_counter):
         monkeypatch.setattr(aliquot, "_Counter", lying_counter)
         with pytest.raises(ArithmeticError, match=r"\(41, 53\)"):
-            amicable_pairs_up_to(E2, 100)
+            _pairs(E2, 100)
 
     def test_lying_counter_premises(self, lying_counter):
         # The walk from 41 reaches 53 and returns: neither count is
@@ -116,7 +131,7 @@ class TestAmicablePairs:
     def test_lying_search_is_caught(self, monkeypatch, lying_search):
         monkeypatch.setattr(aliquot, "_Counter", lying_search)
         with pytest.raises(ArithmeticError, match=r"\(251, 269\)"):
-            amicable_pairs_up_to(E2, 300)
+            _pairs(E2, 300)
 
     def test_lying_counters_are_caught_by_the_cycle_search(
         self, monkeypatch, lying_counter, lying_search
@@ -141,9 +156,7 @@ class TestAmicablePairs:
 class TestAliquotCycles:
     def test_length_two_matches_pairs(self):
         cycles = aliquot_cycles_up_to(MORDELL2, 2, 2000, backend="cm")
-        assert [c.primes for c in cycles] == [
-            (p, q) for p, q in amicable_pairs_up_to(MORDELL2, 2000, backend="cm")
-        ]
+        assert tuple(c.primes for c in cycles) == _pairs(MORDELL2, 2000, backend="cm")
 
     def test_triple(self):
         cycles = aliquot_cycles_up_to(TRIPLE_CURVE, 3, 100)
@@ -216,7 +229,7 @@ class TestParitySkip:
         assert pow(disc % 5, 2, 5) == 4
         assert count_points_naive(reduce_curve(E, 5)) == 2
         assert _walk(_Counter(E), 5, 2) == ([5, 2], None)
-        assert chain_count(E, 2, 5) == 1
+        assert _chain_count(E, 2, 5) == 1
 
     def test_walk_stops_uncounted_at_even_image(self):
         p = next(
@@ -338,13 +351,11 @@ class TestBatchedStep:
 class TestBackendCheck:
     def test_unknown_backend_is_refused(self):
         with pytest.raises(ValueError, match="backend"):
-            chain_count(E2, 1, 1000, backend="bogus")
-        with pytest.raises(ValueError, match="backend"):
-            amicable_pairs_up_to(E2, 4, backend="bogus")
+            ExperimentConfig(curve=E2, x_bound=1000, backend="bogus")
         with pytest.raises(ValueError, match="backend"):
             aliquot_cycles_up_to(E2, 2, 1, backend="bogus")
         with pytest.raises(ValueError, match="backend"):
-            next_value(E2, 5, backend="bogus")
+            _Counter(E2, "bogus")
 
 
 class TestCensusSegments:
@@ -382,7 +393,7 @@ class TestCensusSegments:
         monkeypatch.setattr(aliquot, "verify_cycle", unrecorded_verify)
         X = 5 * 10**4
         found = [aliquot_cycles_up_to(E, L, X, backend) for L in (1, 2, 3)]
-        found.append(amicable_pairs_up_to(E, X, backend))
+        found.append(_pairs(E, X, backend))
         assert any(found) and bool(tested) == beyond
         assert all(n >= end for n, end in tested), tested
 
@@ -427,7 +438,7 @@ class TestChains:
         expected = sum(
             1 for p in primes_in_range(2, X + 1) if E2.has_good_reduction(p)
         )
-        assert chain_count(E2, 1, X) == expected
+        assert _chain_count(E2, 1, X) == expected
 
     def test_chain_two_reference(self):
         X = 500
@@ -438,7 +449,7 @@ class TestChains:
             q = count_points(reduce_curve(E2, p))
             if isprime(q) and q != p:
                 expected += 1
-        assert chain_count(E2, 2, X) == expected
+        assert _chain_count(E2, 2, X) == expected
 
     def test_chain_three_reference(self):
         X = 500
@@ -452,10 +463,10 @@ class TestChains:
             r = count_points(reduce_curve(E2, q))
             if isprime(r) and r not in (p, q):
                 expected += 1
-        assert chain_count(E2, 3, X) == expected
+        assert _chain_count(E2, 3, X) == expected
 
     def test_longer_chains_are_scarcer(self):
-        counts = [chain_count(MORDELL2, L, 3000, backend="cm") for L in (1, 2, 3, 4)]
+        counts = [_chain_count(MORDELL2, L, 3000, backend="cm") for L in (1, 2, 3, 4)]
         assert counts == sorted(counts, reverse=True)
 
 

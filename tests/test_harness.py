@@ -1,5 +1,6 @@
 """Sweep harness: determinism, checkpoints, reports, and the CLI."""
 
+import itertools
 import json
 import math
 import os
@@ -14,12 +15,7 @@ from sympy import isprime
 
 import ecaliquot
 from ecaliquot import aliquot, curves_mod_p, harness
-from ecaliquot.aliquot import (
-    aliquot_cycles_up_to,
-    amicable_pairs_up_to,
-    chain_count,
-    classify_type1,
-)
+from ecaliquot.aliquot import aliquot_cycles_up_to, classify_type1
 from ecaliquot.arith import primes_in_range
 from ecaliquot.cli import main
 from ecaliquot.curves_mod_p import (
@@ -368,30 +364,51 @@ class TestSweepAgainstSerialSearch:
         report = run_pair_sweep(
             ExperimentConfig(curve=REFERENCE_CURVE, x_bound=70_000)
         )
-        assert report.pairs == tuple(
-            amicable_pairs_up_to(REFERENCE_CURVE, 70_000)
-        )
+        # The cycle search's segments, of the default size from 2, meet
+        # at 65,538 (just above the prime 65,537), like the sweep's.
+        search = aliquot_cycles_up_to(REFERENCE_CURVE, 2, 70_000)
+        assert report.pairs == tuple(c.primes for c in search if c.primes[0] >= 5)
         assert report.pairs == ((853, 883),)
 
     def test_chain_counts_match_direct_search(self):
-        # The search's segments, of the default size from 2, meet at
-        # 65,538 (just above the prime 65,537); the sweep's grid of
-        # 1 << 10 has other edges.
+        # The counts of a direct search by chain length on 37a, frozen;
+        # the sweep's grid of 1 << 10 has other edges than the default
+        # one, whose segments meet at 65,538.
         X = 70_000
         report = run_pair_sweep(
             ExperimentConfig(
                 curve=E1, x_bound=X, lengths=(1, 2, 3), segment_size=1 << 10
             )
         )
-        for L in (1, 2, 3):
-            assert report.chain_count(L) == chain_count(E1, L, X)
+        assert report.chains == ((1, 6934), (2, 336), (3, 23))
 
     @pytest.mark.parametrize("lengths", [(2,), (1,)])
-    def test_walks_only_for_a_chain_longer_than_1(self, lengths):
+    def test_walks_only_for_a_chain_longer_than_1(self, monkeypatch, lengths):
+        # A walk that starts downwards (q < p) closes no cycle counted
+        # from p, so it is taken only for a chain longer than 1.
+        walks, walk_from = [], aliquot._walk
+
+        def recording(count, p, length):
+            walk, stop = walk_from(count, p, length)
+            walks.append(walk)
+            return walk, stop
+
+        monkeypatch.setattr(aliquot, "_walk", recording)
         X = 20_000
         report = run_pair_sweep(ExperimentConfig(curve=E1, x_bound=X, lengths=lengths))
+        frozen = {1: 2261, 2: 116}
         for L in lengths:
-            assert report.chain_count(L) == chain_count(E1, L, X) > 0
+            assert report.chain_count(L) == frozen[L]
+        down = sum(len(w) > 1 and w[1] < w[0] for w in walks)
+        assert (down > 0) == (max(lengths) > 1)
+
+    def test_a_2_cycle_below_5_is_no_pair(self):
+        # #E(F_2) = 3 and #E(F_3) = 2: a 2-cycle, but pairs start at 5.
+        E = CurveQ(0, -1, 1, -1, -1)
+        report = run_pair_sweep(ExperimentConfig(curve=E, x_bound=1000, lengths=(2,)))
+        assert dict(report.cycles)[2][0] == (2, 3)
+        assert (2, 3) not in report.pairs
+        assert aliquot_cycles_up_to(E, 2, 4)[0].primes == (2, 3)
 
     def test_literal_walk_reference(self):
         want = _literal_walks(REFERENCE_CURVE, 5_000, "auto")
@@ -409,20 +426,25 @@ class TestSweepAgainstSerialSearch:
     def test_sweep_matches_literal_walk(self):
         for E, backend in WALK_CASES:
             want = _literal_walks(E, 5_000, backend)
-            report = run_pair_sweep(
-                ExperimentConfig(
-                    curve=E,
-                    x_bound=5_000,
-                    lengths=(1, 2, 3, 4),
-                    backend=backend,
-                    segment_size=1 << 10,
+            for size, workers in itertools.product((16, 1 << 10), (1, 2)):
+                report = run_pair_sweep(
+                    ExperimentConfig(
+                        curve=E,
+                        x_bound=5_000,
+                        lengths=(1, 2, 3, 4),
+                        backend=backend,
+                        workers=workers,
+                        segment_size=size,
+                    )
                 )
-            )
-            assert report.n_prime == want["n_prime"]
-            assert report.pairs == tuple(want["pairs"])
-            assert dict(report.chains) == want["chains"]
-            if E.is_mordell():
-                assert report.n_k == want["n_k"]
+                assert report.n_prime == want["n_prime"]
+                assert report.pairs == tuple(want["pairs"])
+                assert dict(report.chains) == want["chains"]
+                cycles = dict(report.cycles)
+                for L in (1, 2, 3):
+                    assert list(cycles[L]) == want["cycles"].get(L, []), (E, L)
+                if E.is_mordell():
+                    assert report.n_k == want["n_k"]
 
     def test_searches_match_literal_walk(self):
         for E, backend in WALK_CASES:
@@ -430,12 +452,11 @@ class TestSweepAgainstSerialSearch:
             for L in (1, 2, 3):
                 cycles = aliquot_cycles_up_to(E, L, 5_000, backend)
                 assert [c.primes for c in cycles] == want["cycles"].get(L, [])
-            assert amicable_pairs_up_to(E, 5_000, backend) == want["pairs"]
 
     def test_sweep_never_counts_an_even_image(self, monkeypatch):
         # Neither the exact counts (p <= MESTRE_BOUND) nor the searches
         # above it reach a prime whose 2-division cubic has a root.
-        class Recording(harness._Counter):
+        class Recording(aliquot._Counter):
             def __call__(self, p):
                 counted.append(p)
                 return super().__call__(p)
@@ -445,7 +466,7 @@ class TestSweepAgainstSerialSearch:
                 return super().annihilator(p, A, B)
 
         counted, searched = [], []
-        monkeypatch.setattr(harness, "_Counter", Recording)
+        monkeypatch.setattr(aliquot, "_Counter", Recording)
         report = run_pair_sweep(
             ExperimentConfig(curve=REFERENCE_CURVE, x_bound=5_000, lengths=(3,))
         )
@@ -457,13 +478,13 @@ class TestSweepAgainstSerialSearch:
                 assert two_division_roots(r, A, B) == 0, r
 
     def test_lying_counter_is_caught(self, monkeypatch, lying_counter):
-        monkeypatch.setattr(harness, "_Counter", lying_counter)
+        monkeypatch.setattr(aliquot, "_Counter", lying_counter)
         cfg = ExperimentConfig(curve=REFERENCE_CURVE, x_bound=100)
         with pytest.raises(ArithmeticError, match=r"\(41, 53\)"):
             run_pair_sweep(cfg)
 
     def test_lying_search_is_caught(self, monkeypatch, lying_search):
-        monkeypatch.setattr(harness, "_Counter", lying_search)
+        monkeypatch.setattr(aliquot, "_Counter", lying_search)
         cfg = ExperimentConfig(curve=REFERENCE_CURVE, x_bound=300)
         with pytest.raises(ArithmeticError, match=r"\(251, 269\)"):
             run_pair_sweep(cfg)
@@ -507,6 +528,30 @@ class TestCheckpointing:
         resumed = run_pair_sweep(cfg)
         assert resumed == full
         assert render_rows(pair_rows(resumed), "csv") == full_csv
+
+    def test_resume_keeps_cycles_of_every_length(self, tmp_path):
+        # A lengths (1, 2, 3) sweep of the curve that construct builds for
+        # lengths 2 and 3, cut after its second record, with half of the
+        # third as a torn tail: the kept records hold cycles of every
+        # length, and the recomputed ones 1-cycles.
+        ck = tmp_path / "sweep.ckpt"
+        cfg = ExperimentConfig(
+            curve=CurveQ.short(69077, 79619),
+            x_bound=20_000,
+            lengths=(1, 2, 3),
+            checkpoint=str(ck),
+            segment_size=1 << 11,
+        )
+        full = run_pair_sweep(cfg)
+        cycles = dict(full.cycles)
+        assert (cycles[2], cycles[3]) == (((5, 7),), ((11, 17, 13),))
+        assert cycles[1][-1] == (14177,)
+        lines = ck.read_text().splitlines()
+        ck.write_text("\n".join(lines[:3]) + "\n" + lines[3][: len(lines[3]) // 2])
+        assert len(_load_checkpoint(ck, cfg)) == 2
+        resumed = run_pair_sweep(cfg)
+        assert resumed == full
+        assert resumed.cycles == full.cycles
 
     def test_torn_last_record_is_recomputed_once(self, tmp_path):
         ck = tmp_path / "sweep.ckpt"
@@ -986,6 +1031,9 @@ class TestCli:
             {"pairs": [[13]]},
             {"n_k": -1},
             {"chains": {"9": 0}},
+            {"cycles": {"1": []}},
+            {"cycles": {"1": [[13, 19]], "2": []}},
+            {"cycles": {"1": [], "2": [[13, "19"]]}},
         ],
         ids=[
             "keys",
@@ -996,12 +1044,16 @@ class TestCli:
             "short-pair",
             "negative",
             "lengths",
+            "cycle-keys",
+            "cycle-length",
+            "cycle-member",
         ],
     )
     def test_malformed_checkpoint_record_exits_1(self, tmp_path, change):
         # A change is a whole line, or new values for the sweep's own record.
         ck = tmp_path / "cli.ckpt"
-        args = ["pairs", "--k", "2", "--X", "1000", "--checkpoint", str(ck)]
+        args = ["chains", "--k", "2", "--X", "1000", "--lengths", "1,2",
+                "--checkpoint", str(ck)]
         assert self.invoke(*args).exit_code == 0
         header, line, _ = ck.read_text().split("\n")
         if isinstance(change, dict):
@@ -1012,6 +1064,27 @@ class TestCli:
         assert result.stdout == ""
         assert result.stderr == (
             f"# error: checkpoint {ck} line 2 is not a segment record\n"
+        )
+
+    def test_version_1_checkpoint_exits_1(self, tmp_path):
+        # A checkpoint written before records carried cycles: its header
+        # says version 1, and its records have no cycles key.
+        ck = tmp_path / "cli.ckpt"
+        args = ["pairs", "--k", "2", "--X", "1000", "--checkpoint", str(ck)]
+        assert self.invoke(*args).exit_code == 0
+        header, line, _ = ck.read_text().split("\n")
+        old_header = {**json.loads(header), "version": 1}
+        old_record = json.loads(line)
+        del old_record["cycles"]
+        ck.write_text(
+            "\n".join(json.dumps(v, sort_keys=True, separators=(",", ":"))
+                      for v in (old_header, old_record)) + "\n"
+        )
+        result = self.runner.invoke(main, args)
+        assert result.exit_code == 1
+        assert result.stdout == ""
+        assert result.stderr == (
+            f"# error: checkpoint {ck} belongs to a different experiment\n"
         )
 
     @pytest.mark.parametrize("where", ["missing/x.ckpt", "."], ids=["missing-dir", "a-dir"])
@@ -1033,14 +1106,10 @@ class TestCli:
         assert result.stderr == ""
 
     @pytest.mark.parametrize(
-        "module, command",
-        [(harness, ["pairs"]), (aliquot, ["cycles", "--lengths", "2"])],
-        ids=["pairs", "cycles"],
+        "command", [["pairs"], ["cycles", "--lengths", "2"]], ids=["pairs", "cycles"]
     )
-    def test_unverified_pair_exits_1(
-        self, monkeypatch, lying_counter, module, command
-    ):
-        monkeypatch.setattr(module, "_Counter", lying_counter)
+    def test_unverified_pair_exits_1(self, monkeypatch, lying_counter, command):
+        monkeypatch.setattr(aliquot, "_Counter", lying_counter)
         result = self.invoke(*command, "--curve", "[0,1,1,0,0]", "--X", "100")
         assert result.exit_code == 1
         assert result.stdout == ""
