@@ -56,9 +56,9 @@ from .curves_mod_p import (
     x_only_annihilates,
 )
 from .eisenstein import (
+    UNITS,
     EisensteinInt,
     PrimeIdealK,
-    Unit6,
     primary_associate,
     primary_split,
     sextic_symbol,
@@ -417,7 +417,7 @@ class TypeOneVerdict:
     a_q: int
     is_type1: bool
     epsilon: int  # +1 or -1 for Type 1, else 0
-    symbol: Unit6  # the product (k/p)_6 (k/q)_6
+    symbol: int  # the exponent e of the product (k/p)_6 (k/q)_6 = w^e
 
 
 def classify_type1(k: int, p: int) -> TypeOneVerdict:
@@ -439,20 +439,19 @@ def classify_type1(k: int, p: int) -> TypeOneVerdict:
     q_gen, _ = primary_associate(one_minus)
     p_ideal = PrimeIdealK(primary_split(p))
     q_ideal = PrimeIdealK(q_gen)
-    u = sextic_symbol(EisensteinInt(k, 0), p_ideal) * sextic_symbol(
-        EisensteinInt(k, 0), q_ideal
-    )
+    e = (sextic_symbol(k, p_ideal) + sextic_symbol(k, q_ideal)) % 6
 
-    predicted = (u.inverse().as_eisenstein() * one_minus).trace
+    predicted = (UNITS[-e % 6] * one_minus).trace
     if predicted != a_q:
         raise ArithmeticError(
             f"symbol and trace routes disagree at p={p}: {predicted} != {a_q}"
         )
-    is_type1 = u.exp % 3 == 0
+    is_type1 = e % 3 == 0
     s = q + 1 - p
     if is_type1 != (a_q in (s, -s)):
         raise ArithmeticError(f"type classification inconsistent at p={p}")
-    return TypeOneVerdict(p, q, a_q, is_type1, u.as_sign() if is_type1 else 0, u)
+    epsilon = (1 if e == 0 else -1) if is_type1 else 0
+    return TypeOneVerdict(p, q, a_q, is_type1, epsilon, e)
 
 
 def j0_triple_case_values(p: int, q: int) -> dict[str, int]:

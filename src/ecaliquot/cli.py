@@ -43,7 +43,7 @@ from .cm_density import (
 )
 from .constructor import build_cycle_curve
 from .curves_mod_p import BACKENDS, CurveQ
-from .eisenstein import Unit6, ideals_above
+from .eisenstein import ideals_above
 from .harness import (
     FORMATS,
     ExperimentConfig,
@@ -399,8 +399,8 @@ def c6check(norm_bound, out_format):
         raise ValueError("--norm-bound must be >= 7, the least norm checked")
     rows = []
     bad = 0
-    zetas = [Unit6(e) for e in range(6)]
-    xis = [Unit6(e) for e in (0, 2, 4)]
+    zetas = range(6)
+    xis = (0, 2, 4)
     for r in primes_in_range(5, norm_bound + 1):
         for K in ideals_above(r):
             if K.residue_norm > norm_bound:

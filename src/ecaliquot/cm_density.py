@@ -18,7 +18,9 @@ the number of points on the genus-4 curve
 
     C6: gamma z^6 (1 - gamma z^6) = delta x^3
 
-through #C6 = 18 #M_K^[1] + e(zeta, xi), and #C6 itself has an exact
+through #C6 = 18 #M_K^[1] + e(zeta, xi).  A class is a pair of symbol
+exponents: zeta in 0..5 for (gamma/K)_6 = w^zeta and xi in (0, 2, 4)
+for (delta/K)_3 = w^xi.  #C6 itself has an exact
 expression in unit-weighted traces of the primary generator, so
 m_counts reads each ideal's class counts off the traces in O(1) steps,
 with no walk of its residue field.  All three routes (set enumeration,
@@ -39,7 +41,6 @@ from .eisenstein import (
     UNITS,
     EisensteinInt,
     PrimeIdealK,
-    Unit6,
     _coerce,
     _pair_pow,
     cubic_symbol,
@@ -66,7 +67,6 @@ def mk_case(k: int) -> str:
 
 
 def _in_m(case: str, e6: int) -> bool:
-    e6 %= 6
     if case == "a":
         return e6 in (1, 5)  # quadratic -1 and cubic != 1
     if case == "b":
@@ -334,33 +334,31 @@ def _m_K1_table(K: PrimeIdealK) -> dict[tuple[int, int], int]:
     """Counts of lam in the residue field of K by the pair of classes
     ((lam/K)_6, (lam(1-lam)/K)_3), from #C6 = 18 #M_K^[1] + e: the trace
     formula gives every count in O(1) steps, with no walk of the field."""
-    classes = [(Unit6(z), Unit6(x)) for z in range(6) for x in (0, 2, 4)]
+    classes = [(z, x) for z in range(6) for x in (0, 2, 4)]
     table = {}
     for (zeta, xi), n in zip(classes, _c6_counts_trace(classes, K)):
         count, rest = divmod(n - e_term(zeta, xi), 18)
         if rest:
             raise ArithmeticError(f"#C6 - e is not 18 #M_K^[1] at {K.generator}")
-        table[zeta.exp, xi.exp] = count
+        table[zeta, xi] = count
     return table
 
 
-def e_term(zeta: Unit6, xi: Unit6) -> int:
-    """Boundary contribution of C6: 6 from z-axis points when zeta = 1,
-    3 from the blown-up origin when zeta^2 = xi, 3 from infinity when
-    zeta^4 = xi."""
-    total = 0
-    if zeta.exp == 0:
-        total += 6
-    if (zeta ** 2) == xi:
+def e_term(zeta: int, xi: int) -> int:
+    """Boundary contribution of C6 at the class exponents (zeta, xi), mod
+    6: 6 from z-axis points when w^zeta = 1, 3 from the blown-up origin
+    when 2 zeta = xi, 3 from infinity when 4 zeta = xi."""
+    total = 6 if zeta % 6 == 0 else 0
+    if (2 * zeta - xi) % 6 == 0:
         total += 3
-    if (zeta ** 4) == xi:
+    if (4 * zeta - xi) % 6 == 0:
         total += 3
     return total
 
 
-def c6_count_trace(zeta: Unit6, xi: Unit6, K: PrimeIdealK) -> int:
-    """#C6 for any witnesses of classes (zeta, xi), by the exact
-    trace formula over the primary generator of K.
+def c6_count_trace(zeta: int, xi: int, K: PrimeIdealK) -> int:
+    """#C6 for any witnesses of the class exponents (zeta, xi), mod 6, by
+    the exact trace formula over the primary generator of K.
 
     The Jacobian of C6 splits as a product of the four curves
     y^2 = x^3 + kappa with kappa = 16 d^2, 4 g^3 d^4, g^5 d^2, g d^2
@@ -368,24 +366,23 @@ def c6_count_trace(zeta: Unit6, xi: Unit6, K: PrimeIdealK) -> int:
     Y^2 - X^3 = +g d^2), so each trace term is the unit
     (4 kappa / K)_6 times the conjugate generator.
     """
-    return _c6_counts_trace([(zeta, xi)], K)[0]
+    if xi % 2:
+        raise ValueError("xi must be a cube root of unity")
+    return _c6_counts_trace([(zeta % 6, xi % 6)], K)[0]
 
 
 def _c6_counts_trace(classes, K: PrimeIdealK) -> list[int]:
-    """c6_count_trace for each class pair (zeta, xi) of K.
+    """c6_count_trace for each class pair (z, x) of K, both in 0..5.
 
-    The ideal gives eps = (2/K)_6^2 and the six traces tr(w^j pi_bar)
-    once; each class adds the four traces whose unit exponents are
-    xi, eps^2 zeta^3 xi^2, eps zeta^5 xi and eps zeta xi, mod 6.
+    The ideal gives eps = 2 (2/K)_6, the exponent of (2/K)_3, and the six
+    traces tr(w^j pi_bar) once; each class adds the four traces w^j pi_bar
+    with j = x, 2 eps + 3 z + 2 x, eps + 5 z + x and eps + z + x, mod 6.
     """
     pi_bar = K.generator.conjugate()
-    eps = 2 * sextic_symbol(2, K).exp
+    eps = 2 * sextic_symbol(2, K)
     traces = [(u * pi_bar).trace for u in UNITS]
     counts = []
-    for zeta, xi in classes:
-        if xi.exp % 2 != 0:
-            raise ValueError("xi must be a cube root of unity")
-        z, x = zeta.exp, xi.exp
+    for z, x in classes:
         counts.append(
             K.residue_norm
             + 1
@@ -398,8 +395,9 @@ def _c6_counts_trace(classes, K: PrimeIdealK) -> list[int]:
 
 
 def _class_witnesses(K: PrimeIdealK, targets, symbol) -> list[EisensteinInt]:
-    """For each of targets, the first nonzero residue mod K (in scan
-    order) with that symbol, from one scan that stops once all are seen."""
+    """For each exponent of targets, mod 6, the first nonzero residue mod K
+    (in scan order) with that symbol, from one scan that stops once all
+    are seen."""
     if K.kind == "split":
         residues = (EisensteinInt(x, 0) for x in range(1, K.residue_norm))
     else:
@@ -407,14 +405,15 @@ def _class_witnesses(K: PrimeIdealK, targets, symbol) -> list[EisensteinInt]:
         residues = (
             EisensteinInt(a, b) for a in range(k) for b in range(k) if a or b
         )
+    targets = [t % 6 for t in targets]
     wanted = set(targets)
-    first: dict[Unit6, EisensteinInt] = {}
+    first: dict[int, EisensteinInt] = {}
     for cand in residues:
         first.setdefault(symbol(cand), cand)
         if wanted <= first.keys():
             return [first[t] for t in targets]
     missing = next(t for t in targets if t not in first)
-    raise ArithmeticError(f"no residue of class {missing} mod {K.generator}")
+    raise ArithmeticError(f"no residue of class w^{missing} mod {K.generator}")
 
 
 def class_witnesses_sextic(K: PrimeIdealK, zetas) -> list[EisensteinInt]:
@@ -424,18 +423,18 @@ def class_witnesses_sextic(K: PrimeIdealK, zetas) -> list[EisensteinInt]:
 
 def class_witnesses_cubic(K: PrimeIdealK, xis) -> list[EisensteinInt]:
     """class_witness_cubic for each of xis, from one scan."""
-    if any(xi.exp % 2 for xi in xis):
+    if any(xi % 2 for xi in xis):
         raise ValueError("xi must be a cube root of unity")
     return _class_witnesses(K, xis, lambda d: cubic_symbol(d, K))
 
 
-def class_witness_sextic(K: PrimeIdealK, zeta: Unit6) -> EisensteinInt:
-    """The first residue (in scan order) whose sextic symbol is zeta."""
+def class_witness_sextic(K: PrimeIdealK, zeta: int) -> EisensteinInt:
+    """The first residue (in scan order) whose sextic symbol is w^zeta."""
     return class_witnesses_sextic(K, [zeta])[0]
 
 
-def class_witness_cubic(K: PrimeIdealK, xi: Unit6) -> EisensteinInt:
-    """The first residue (in scan order) whose cubic symbol is xi."""
+def class_witness_cubic(K: PrimeIdealK, xi: int) -> EisensteinInt:
+    """The first residue (in scan order) whose cubic symbol is w^xi."""
     return class_witnesses_cubic(K, [xi])[0]
 
 
@@ -484,5 +483,5 @@ def _c6_counts_bruteforce(pairs, K: PrimeIdealK) -> list[int]:
         ed = exps[index(delta.a, delta.b)]
         if NON_UNIT in (eg, ed):
             raise ValueError(f"{gamma} or {delta} is not coprime to the modulus")
-        counts.append(18 * folded[eg][ed % 3] + e_term(Unit6(eg), Unit6(2 * ed)))
+        counts.append(18 * folded[eg][ed % 3] + e_term(eg, 2 * ed))
     return counts

@@ -61,7 +61,7 @@ from math import gcd, isqrt
 
 from .arith import isprime, nextprime
 from .cm_density import _sextic_exponent_table
-from .eisenstein import EisensteinInt, PrimeIdealK, primary_split, sextic_symbol
+from .eisenstein import UNITS, EisensteinInt, PrimeIdealK, primary_split, sextic_symbol
 
 MESTRE_BOUND = 229  # above it, BSGS always finds a unique order
 
@@ -576,9 +576,8 @@ def grossencharacter_j0(k: int, p: int) -> EisensteinInt:
     if (6 * k) % p == 0:
         raise ValueError(f"bad reduction at {p}")
     pi = primary_split(p)
-    ideal = PrimeIdealK(pi)
-    u = sextic_symbol(EisensteinInt(4 * k, 0), ideal)
-    return -(u.inverse().as_eisenstein()) * pi
+    e = sextic_symbol(4 * k, PrimeIdealK(pi))
+    return -UNITS[-e % 6] * pi
 
 
 def count_points_cm_j0(k: int, p: int) -> int:

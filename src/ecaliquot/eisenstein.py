@@ -7,6 +7,9 @@ quadratic/cubic/sextic residue symbols over prime and composite moduli,
 and the weak quadratic/cubic reciprocity laws that the density
 computations rely on.
 
+Every residue symbol is a sixth root of unity w^e and is returned as its
+exponent e in 0..5, so symbols multiply by adding exponents mod 6.
+
 Python integers are arbitrary precision, so intermediate norms cannot
 overflow.
 """
@@ -112,7 +115,7 @@ ONE = EisensteinInt(1, 0)
 OMEGA = EisensteinInt(0, 1)
 SQRT_MINUS_3 = EisensteinInt(-1, 2)  # 2w - 1, the ramified prime over 3
 
-#: The six units w^0 .. w^5.
+#: The six units w^0 .. w^5, indexed by the exponent.
 UNITS: tuple[EisensteinInt, ...] = (
     EisensteinInt(1, 0),
     EisensteinInt(0, 1),
@@ -121,55 +124,6 @@ UNITS: tuple[EisensteinInt, ...] = (
     EisensteinInt(0, -1),
     EisensteinInt(1, -1),
 )
-
-_UNIT_EXP = {u: e for e, u in enumerate(UNITS)}
-
-
-@dataclass(frozen=True)
-class Unit6:
-    """An element w^exp of the group of sixth roots of unity."""
-
-    exp: int
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "exp", self.exp % 6)
-
-    def __mul__(self, other: "Unit6") -> "Unit6":
-        return Unit6(self.exp + other.exp)
-
-    def __pow__(self, n: int) -> "Unit6":
-        return Unit6(self.exp * n)
-
-    def inverse(self) -> "Unit6":
-        return Unit6(-self.exp)
-
-    def conjugate(self) -> "Unit6":
-        return Unit6(-self.exp)
-
-    def as_eisenstein(self) -> EisensteinInt:
-        return UNITS[self.exp]
-
-    @classmethod
-    def from_eisenstein(cls, u: EisensteinInt) -> "Unit6":
-        try:
-            return cls(_UNIT_EXP[u])
-        except KeyError:
-            raise ValueError(f"{u} is not a unit of Z[w]") from None
-
-    @property
-    def is_one(self) -> bool:
-        return self.exp == 0
-
-    def as_sign(self) -> int:
-        """Return +1 or -1; valid only for the real units w^0, w^3."""
-        if self.exp == 0:
-            return 1
-        if self.exp == 3:
-            return -1
-        raise ValueError(f"w^{self.exp} is not a real unit")
-
-    def __str__(self) -> str:
-        return f"w^{self.exp}"
 
 
 def _quotient(x: EisensteinInt, m: EisensteinInt) -> EisensteinInt | None:
@@ -185,15 +139,15 @@ def _quotient(x: EisensteinInt, m: EisensteinInt) -> EisensteinInt | None:
     return EisensteinInt(qa, qb) if ra == rb == 0 else None
 
 
-def primary_associate(x: EisensteinInt) -> tuple[EisensteinInt, Unit6]:
-    """The unique associate u*x with u*x = 2 mod 3*Z[w], and the unit u.
+def primary_associate(x: EisensteinInt) -> tuple[EisensteinInt, int]:
+    """The unique associate w^e*x with w^e*x = 2 mod 3*Z[w], and e.
 
     Requires gcd(x, 3) = 1; exactly one of the six associates qualifies.
     """
     for e, u in enumerate(UNITS):
         c = u * x
         if c.is_primary():
-            return c, Unit6(e)
+            return c, e
     raise ValueError(f"{x} has no primary associate (not coprime to 3)")
 
 
@@ -327,31 +281,25 @@ def _split_unit_table(gen_a: int, gen_b: int, p: int) -> dict[int, int]:
     return table
 
 
-def sextic_symbol(alpha: "EisensteinInt | int", m: PrimeIdealK) -> Unit6:
-    """The sextic residue symbol (alpha / m), a sixth root of unity.
+def sextic_symbol(alpha: "EisensteinInt | int", m: PrimeIdealK) -> int:
+    """The sextic residue symbol (alpha / m) = w^e, as its exponent e in 0..5.
 
-    Defined by alpha^((N(m)-1)/6) mod m; requires alpha coprime to m,
-    and 6 | N(m) - 1, which fails only at the ideals above 2 and 3.
+    Defined by alpha^((N(m)-1)/6) = w^e mod m; requires alpha coprime to
+    m, and 6 | N(m) - 1, which fails only at the ideals above 2 and 3.
     """
     alpha = _coerce(alpha)
     if (m.residue_norm - 1) % 6:
         raise ValueError(f"6 does not divide N - 1 at the modulus {m.generator}")
+    x = m.reduce(alpha)
+    if x in (0, (0, 0)):
+        raise ValueError(f"{alpha} is not coprime to the modulus")
     if m.kind == "split":
         p = m.residue_norm
-        x = m.reduce(alpha)
-        if x == 0:
-            raise ValueError(f"{alpha} is not coprime to the modulus")
         s = pow(x, (p - 1) // 6, p)
-        return Unit6(_split_unit_table(m.generator.a, m.generator.b, p)[s])
+        return _split_unit_table(m.generator.a, m.generator.b, p)[s]
     k = m.generator.a
-    x = m.reduce(alpha)
-    if x == (0, 0):
-        raise ValueError(f"{alpha} is not coprime to the modulus")
     s = _pair_pow(x, (k * k - 1) // 6, k)
-    for e, u in enumerate(UNITS):
-        if s == (u.a % k, u.b % k):
-            return Unit6(e)
-    raise ValueError(f"{alpha} is not coprime to the modulus")
+    return next(e for e, u in enumerate(UNITS) if s == (u.a % k, u.b % k))
 
 
 def ideals_above(r: int) -> tuple[PrimeIdealK, ...]:
@@ -362,8 +310,8 @@ def ideals_above(r: int) -> tuple[PrimeIdealK, ...]:
     return (PrimeIdealK.above(r),)
 
 
-def symbol_composite(alpha: "EisensteinInt | int", k: int, degree: int = 6) -> Unit6:
-    """Jacobi-style residue symbol (alpha / k*Z[w]) for composite k.
+def symbol_composite(alpha: "EisensteinInt | int", k: int, degree: int = 6) -> int:
+    """Jacobi-style residue symbol (alpha / k*Z[w]) for composite k, as e.
 
     The symbol is the product over the prime-ideal factorization of
     k*Z[w], with ideal powers contributing the prime symbol raised to
@@ -407,11 +355,11 @@ def eisenstein_factor(
 
 def symbol_eisenstein(
     alpha: "EisensteinInt | int", lam: EisensteinInt, degree: int = 6
-) -> Unit6:
+) -> int:
     """Residue symbol (alpha / lam*Z[w]) for a general Eisenstein modulus.
 
-    The sextic symbol to the power 6 / degree gives the cubic (degree 3)
-    or quadratic (degree 2) symbol.
+    The sextic exponent times 6 / degree gives the cubic (degree 3) or
+    quadratic (degree 2) symbol.
     """
     _, factors = eisenstein_factor(lam)
     return _symbol_product(
@@ -419,42 +367,45 @@ def symbol_eisenstein(
     )
 
 
-def _symbol_product(alpha, factors, degree: int) -> Unit6:
-    """The product of (alpha / m)_6^e over the (m, e) of factors, to the
-    power 6 / degree."""
+def _symbol_product(alpha, factors, degree: int) -> int:
+    """The exponent of the product of (alpha / m)_6^e over the (m, e) of
+    factors, to the power 6 / degree."""
     if degree not in (2, 3, 6):
         raise ValueError("degree must be 2, 3 or 6")
-    total = sum(sextic_symbol(alpha, m).exp * e for m, e in factors)
-    return Unit6(total) ** (6 // degree)
+    total = sum(sextic_symbol(alpha, m) * e for m, e in factors)
+    return total * (6 // degree) % 6
 
 
-def cubic_symbol(alpha: "EisensteinInt | int", m: PrimeIdealK) -> Unit6:
-    """Cubic residue symbol, the square of the sextic symbol."""
-    return sextic_symbol(alpha, m) ** 2
+def cubic_symbol(alpha: "EisensteinInt | int", m: PrimeIdealK) -> int:
+    """Cubic residue symbol, the square of the sextic symbol: 0, 2 or 4."""
+    return 2 * sextic_symbol(alpha, m) % 6
 
 
-def quadratic_symbol(alpha: "EisensteinInt | int", m: PrimeIdealK) -> Unit6:
-    """Quadratic residue symbol, the cube of the sextic symbol."""
-    return sextic_symbol(alpha, m) ** 3
+def quadratic_symbol(alpha: "EisensteinInt | int", m: PrimeIdealK) -> int:
+    """Quadratic residue symbol, the cube of the sextic symbol: 0 or 3."""
+    return 3 * sextic_symbol(alpha, m) % 6
 
 
-def mu3_companion(lam: EisensteinInt) -> Unit6:
-    """The unique cube root of unity zeta with zeta*lam = +-1 mod 3*Z[w]."""
-    for e, u in enumerate(UNITS):
+def mu3_companion(lam: EisensteinInt) -> int:
+    """The unique cube root of unity w^e with w^e*lam = +-1 mod 3*Z[w], as e.
+
+    lam = w^j mod 3*Z[w] for one j, and w^(2j) w^j = w^(3j) = +-1.
+    """
+    for j, u in enumerate(UNITS):
         d = lam - u
         if d.a % 3 == 0 and d.b % 3 == 0:
-            return Unit6(-e if e % 2 == 0 else 3 - e)
+            return 2 * j % 6
     raise ValueError(f"{lam} is not coprime to 3")
 
 
 @dataclass(frozen=True)
 class ReciprocityPair:
-    """Both sides of the quadratic and cubic reciprocity laws."""
+    """Both sides of the quadratic and cubic reciprocity laws, as exponents."""
 
-    quadratic_lhs: Unit6
-    quadratic_rhs: Unit6
-    cubic_lhs: Unit6
-    cubic_rhs: Unit6
+    quadratic_lhs: int
+    quadratic_rhs: int
+    cubic_lhs: int
+    cubic_rhs: int
 
     @property
     def holds(self) -> bool:
@@ -478,10 +429,10 @@ def reciprocity_pair(k: int, lam: EisensteinInt) -> ReciprocityPair:
         raise ValueError("lam must be coprime to 6k")
     quad_lhs = symbol_eisenstein(k, lam, degree=2)
     sign_exp = ((n - 1) // 2) * ((k - 1) // 2) % 2
-    quad_rhs = Unit6(3 * sign_exp) * symbol_composite(lam, k, degree=2)
+    quad_rhs = (3 * sign_exp + symbol_composite(lam, k, degree=2)) % 6
     cubic_lhs = symbol_eisenstein(k, lam, degree=3)
-    zeta = mu3_companion(lam)
-    cubic_rhs = symbol_composite(zeta.as_eisenstein(), k, degree=3) * symbol_composite(
-        lam, k, degree=3
-    )
+    zeta = UNITS[mu3_companion(lam)]
+    cubic_rhs = (
+        symbol_composite(zeta, k, degree=3) + symbol_composite(lam, k, degree=3)
+    ) % 6
     return ReciprocityPair(quad_lhs, quad_rhs, cubic_lhs, cubic_rhs)

@@ -35,7 +35,6 @@ from ecaliquot.curves_mod_p import (
     reduce_curve,
     two_division_roots,
 )
-from ecaliquot.eisenstein import Unit6
 from ecaliquot.harness import ExperimentConfig, run_pair_sweep
 
 E1 = CurveQ(0, 0, 1, -1, 0)
@@ -536,13 +535,13 @@ class TestClassifyType1:
         v = classify_type1(2, 13)
         assert v.q == 19 and v.a_q == 7
         assert v.is_type1 and v.epsilon == 1
-        assert v.symbol == Unit6(0)
+        assert v.symbol == 0
 
     def test_7_for_k3_is_type2(self):
         v = classify_type1(3, 7)
         assert v.q == 13 and v.a_q == 5
         assert not v.is_type1 and v.epsilon == 0
-        assert v.symbol == Unit6(1)
+        assert v.symbol == 1
 
     def test_k2_always_type1(self):
         # 2 = 2 * 1^3, so every member of N_2 is Type 1.

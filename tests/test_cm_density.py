@@ -16,6 +16,7 @@ from ecaliquot import cm_density
 from ecaliquot.arith import primes_in_range
 from ecaliquot.cm_density import (
     _c6_counts_trace,
+    _class_witnesses,
     c6_count_bruteforce,
     c6_count_trace,
     class_witness_cubic,
@@ -43,7 +44,6 @@ from ecaliquot.eisenstein import (
     UNITS,
     EisensteinInt,
     PrimeIdealK,
-    Unit6,
     _pair_pow,
     cubic_symbol,
     ideals_above,
@@ -145,8 +145,8 @@ class TestSetEnumeration:
         for lam in sorted(ok_sharp(k), key=lambda x: (x.a, x.b)):
             quad = symbol_composite(lam, k, degree=2)
             cubic = symbol_composite(lam * (1 - lam), k, degree=3)
-            assert (lam in m) == (quad.exp == 3)
-            assert (lam in m1) == (quad.exp == 3 and cubic.is_one)
+            assert (lam in m) == (quad == 3)
+            assert (lam in m1) == (quad == 3 and cubic == 0)
 
     def test_membership_case_d_all_residues(self):
         assert m_k_set(7) == ok_sharp(7)
@@ -227,7 +227,7 @@ class TestCountByConvolution:
                 if any(K.reduce(lam) == 0 for K in pair):
                     assert table[a * r + b] == NON_UNIT
                 else:
-                    want = sum(sextic_symbol(lam, K).exp for K in pair) % 6
+                    want = sum(sextic_symbol(lam, K) for K in pair) % 6
                     assert table[a * r + b] == want
 
     @pytest.mark.parametrize("r", [103, 101])  # split, inert
@@ -304,17 +304,14 @@ class TestDensities:
 
 class TestETerm:
     def test_values(self):
-        one = Unit6(0)
-        assert e_term(one, one) == 12
-        assert e_term(Unit6(3), one) == 6  # zeta^2 = 1 = xi and zeta^4 = 1
-        assert e_term(Unit6(1), Unit6(2)) == 3  # zeta^2 = xi only
-        assert e_term(Unit6(1), Unit6(4)) == 3  # zeta^4 = xi only
-        assert e_term(Unit6(1), Unit6(0)) == 0
+        assert e_term(0, 0) == 12
+        assert e_term(3, 0) == 6  # zeta^2 = 1 = xi and zeta^4 = 1
+        assert e_term(1, 2) == 3  # zeta^2 = xi only
+        assert e_term(1, 4) == 3  # zeta^4 = xi only
+        assert e_term(1, 0) == 0
 
     def test_total_over_all_classes(self):
-        total = sum(
-            e_term(Unit6(z), Unit6(x)) for z in range(6) for x in (0, 2, 4)
-        )
+        total = sum(e_term(z, x) for z in range(6) for x in (0, 2, 4))
         # 6 appears for zeta=1 (3 xi's), each of the two cube conditions
         # holds for exactly one xi per zeta
         assert total == 18 + 18 + 18
@@ -344,33 +341,31 @@ class TestC6Counts:
                     walk[e, 2 * (e + ec) % 6] += 1
             for ze in range(6):
                 for xe in (0, 2, 4):
-                    zeta, xi = Unit6(ze), Unit6(xe)
                     n = walk[ze, xe]
                     assert _m_K1_table(K).get((ze, xe), 0) == n, (K, ze, xe)
-                    assert c6_count_trace(zeta, xi, K) == 18 * n + e_term(
-                        zeta, xi
-                    )
+                    assert c6_count_trace(ze, xe, K) == 18 * n + e_term(ze, xe)
 
     def test_list_form_equals_one_class_form_above_primes_below_600(self):
         # and the four unit products of the trace formula, taken literally
-        classes = [(Unit6(z), Unit6(x)) for z in range(6) for x in (0, 2, 4)]
+        # as sums of exponents
+        classes = [(z, x) for z in range(6) for x in (0, 2, 4)]
         ideals = [
             K for r in range(5, 600) if isprime(r) and r % 3 for K in ideals_above(r)
         ]
         assert len(ideals) == 157
         for K in ideals:
             pi_bar = K.generator.conjugate()
-            eps = sextic_symbol(2, K) ** 2
+            eps = 2 * sextic_symbol(2, K)
             literal = [
                 K.residue_norm
                 + 1
                 + sum(
-                    (u.as_eisenstein() * pi_bar).trace
-                    for u in (
+                    (UNITS[e % 6] * pi_bar).trace
+                    for e in (
                         xi,
-                        eps ** 2 * zeta ** 3 * xi ** 2,
-                        eps * zeta ** 5 * xi,
-                        eps * zeta * xi,
+                        2 * eps + 3 * zeta + 2 * xi,
+                        eps + 5 * zeta + xi,
+                        eps + zeta + xi,
                     )
                 )
                 for zeta, xi in classes
@@ -381,9 +376,8 @@ class TestC6Counts:
     @pytest.mark.parametrize("r", IDEAL_PRIMES)
     def test_trace_equals_bruteforce(self, r):
         for K in ideals_above(r):
-            for ze in range(6):
-                for xe in (0, 2, 4):
-                    zeta, xi = Unit6(ze), Unit6(xe)
+            for zeta in range(6):
+                for xi in (0, 2, 4):
                     gamma = class_witness_sextic(K, zeta)
                     delta = class_witness_cubic(K, xi)
                     assert c6_count_bruteforce(gamma, delta, K) == (
@@ -409,27 +403,26 @@ class TestC6Counts:
         # with xi = 1 the count is k^2+1 plus 8k, -4k, or 2k according
         # to zeta = 1, -1, or other
         K = PrimeIdealK.above(k)
-        one = Unit6(0)
-        assert c6_count_trace(Unit6(0), one, K) == k * k + 1 + 8 * k
-        assert c6_count_trace(Unit6(3), one, K) == k * k + 1 - 4 * k
+        assert c6_count_trace(0, 0, K) == k * k + 1 + 8 * k
+        assert c6_count_trace(3, 0, K) == k * k + 1 - 4 * k
         for ze in (1, 2, 4, 5):
-            assert c6_count_trace(Unit6(ze), one, K) == k * k + 1 + 2 * k
+            assert c6_count_trace(ze, 0, K) == k * k + 1 + 2 * k
 
     def test_witness_classes(self):
         for r in (7, 13, 5, 11):
             for K in ideals_above(r):
                 for ze in range(6):
-                    g = class_witness_sextic(K, Unit6(ze))
-                    assert sextic_symbol(g, K) == Unit6(ze)
+                    g = class_witness_sextic(K, ze)
+                    assert sextic_symbol(g, K) == ze
                 for xe in (0, 2, 4):
-                    d = class_witness_cubic(K, Unit6(xe))
-                    assert cubic_symbol(d, K) == Unit6(xe)
+                    d = class_witness_cubic(K, xe)
+                    assert cubic_symbol(d, K) == xe
 
     def test_one_scan_witnesses_below_norm_500(self):
         # each class's first residue in the scan order, by one symbol at
         # a time, at every ideal of norm <= 500
-        zetas = [Unit6(e) for e in range(6)]
-        xis = [Unit6(e) for e in (0, 2, 4)]
+        zetas = list(range(6))
+        xis = [0, 2, 4]
         ideals = 0
         for r in primes_in_range(5, 501):
             for K in ideals_above(r):
@@ -445,7 +438,7 @@ class TestC6Counts:
                 want = [scan[sextic.index(zeta)] for zeta in zetas]
                 assert class_witnesses_sextic(K, zetas) == want, K.generator
                 assert [class_witness_sextic(K, z) for z in zetas] == want
-                cubic = [u**2 for u in sextic]
+                cubic = [2 * e % 6 for e in sextic]
                 want = [scan[cubic.index(xi)] for xi in xis]
                 assert class_witnesses_cubic(K, xis) == want, K.generator
                 assert [class_witness_cubic(K, xi) for xi in xis] == want
@@ -465,9 +458,8 @@ class TestC6Counts:
                     for b in range(r)
                     if a or b
                 ]
-            for ze in range(6):
-                for xe in (0, 2, 4):
-                    zeta, xi = Unit6(ze), Unit6(xe)
+            for zeta in range(6):
+                for xi in (0, 2, 4):
                     gamma = class_witness_sextic(K, zeta)
                     delta = class_witness_cubic(K, xi)
                     lhs = [K.reduce(delta * x ** 3) for x in units]
@@ -483,7 +475,36 @@ class TestC6Counts:
     def test_xi_must_be_cubic(self):
         K = PrimeIdealK.above(7)
         with pytest.raises(ValueError):
-            c6_count_trace(Unit6(0), Unit6(3), K)
+            c6_count_trace(0, 3, K)
+
+    @pytest.mark.parametrize("r", [7, 5])  # split, inert
+    def test_class_exponents_are_read_mod_6(self, r):
+        # zeta = 7, xi = 8 and xi = -2 name the classes 1, 2 and 4
+        K = PrimeIdealK.above(r)
+        assert c6_count_trace(7, 8, K) == c6_count_trace(1, 2, K)
+        assert c6_count_trace(7, -2, K) == c6_count_trace(1, 4, K)
+        assert e_term(7, 8) == e_term(1, 2) and e_term(-5, -2) == e_term(1, 4)
+        assert class_witness_sextic(K, 7) == class_witness_sextic(K, 1)
+        assert class_witness_cubic(K, 8) == class_witness_cubic(K, 2)
+        assert class_witness_cubic(K, -2) == class_witness_cubic(K, 4)
+        assert class_witnesses_sextic(K, [7, -1]) == class_witnesses_sextic(
+            K, [1, 5]
+        )
+        assert class_witnesses_cubic(K, [8, -2]) == class_witnesses_cubic(
+            K, [2, 4]
+        )
+        for bad in (3, -3, 9):
+            with pytest.raises(ValueError, match="cube root of unity"):
+                c6_count_trace(0, bad, K)
+            with pytest.raises(ValueError, match="cube root of unity"):
+                class_witness_cubic(K, bad)
+            with pytest.raises(ValueError, match="cube root of unity"):
+                class_witnesses_cubic(K, [0, bad])
+
+    def test_missing_class_is_named_as_a_power_of_w(self):
+        K = PrimeIdealK.above(7)
+        with pytest.raises(ArithmeticError, match=r"class w\^1 mod"):
+            _class_witnesses(K, [7], lambda g: 0)
 
     def test_composite_count_by_ideal_convolution(self):
         # The #M_35^[1] count factors through the per-ideal cubic-class

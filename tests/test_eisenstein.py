@@ -17,7 +17,7 @@ from ecaliquot.eisenstein import (
     ZERO,
     EisensteinInt,
     PrimeIdealK,
-    Unit6,
+    _pair_pow,
     cubic_symbol,
     eisenstein_factor,
     ideals_above,
@@ -60,16 +60,6 @@ class TestBasicArithmetic:
         for e, u in enumerate(UNITS):
             assert OMEGA ** e == u
             assert u.is_unit()
-            assert Unit6(e).as_eisenstein() == u
-            assert Unit6.from_eisenstein(u) == Unit6(e)
-
-    def test_unit6_group(self):
-        assert Unit6(2) * Unit6(5) == Unit6(1)
-        assert Unit6(4).inverse() == Unit6(2)
-        assert Unit6(0).as_sign() == 1
-        assert Unit6(3).as_sign() == -1
-        with pytest.raises(ValueError):
-            Unit6(1).as_sign()
 
     @given(eis, eis)
     def test_norm_is_multiplicative(self, x, y):
@@ -96,7 +86,7 @@ class TestPrimaryElements:
             return
         prim, u = primary_associate(x)
         assert prim.is_primary()
-        assert u.as_eisenstein() * x == prim
+        assert u in range(6) and UNITS[u] * x == prim
         assert sum((v * x).is_primary() for v in UNITS) == 1
 
     def test_conjugate_of_primary_is_primary(self):
@@ -192,36 +182,48 @@ class TestPrimeIdeals:
 class TestSexticSymbol:
     def test_known_split_values(self):
         ideal = PrimeIdealK.above(13)
-        assert sextic_symbol(2, ideal) == Unit6(5)
-        assert sextic_symbol(8, ideal) == Unit6(3)
+        assert sextic_symbol(2, ideal) == 5
+        assert sextic_symbol(8, ideal) == 3
 
     def test_minus_one_inert_is_trivial(self):
         for k in (5, 11, 17, 23):
-            assert sextic_symbol(-1, PrimeIdealK.above(k)) == Unit6(0)
+            assert sextic_symbol(-1, PrimeIdealK.above(k)) == 0
 
     def test_rational_is_cube_mod_inert(self):
         for k in (5, 11, 17):
             ideal = PrimeIdealK.above(k)
             for a in range(2, 30):
                 if a % k:
-                    assert cubic_symbol(a, ideal) == Unit6(0)
+                    assert cubic_symbol(a, ideal) == 0
 
     def test_quadratic_symbol_matches_legendre_for_split(self):
         for p in (7, 13, 19, 31, 37):
             ideal = PrimeIdealK.above(p)
             for a in range(1, 25):
                 if a % p:
-                    expected = 1 if legendre_symbol(a, p) == 1 else -1
-                    assert quadratic_symbol(a, ideal).as_sign() == expected
+                    expected = 0 if legendre_symbol(a, p) == 1 else 3  # w^3 = -1
+                    assert quadratic_symbol(a, ideal) == expected
 
-    def test_sextic_power_identity(self):
-        """alpha^((N-1)/6) reduces to the claimed root of unity."""
-        ideal = PrimeIdealK.above(7)
-        alpha = EisensteinInt(3, 1)
-        s = sextic_symbol(alpha, ideal)
-        p = 7
-        val = pow(ideal.reduce(alpha), (p - 1) // 6, p)
-        assert ideal.reduce(s.as_eisenstein()) == val
+    @given(eis_nonzero)
+    @settings(max_examples=60)
+    def test_sextic_power_identity(self, alpha):
+        """alpha^((N-1)/6) reduces to w^e for the sextic exponent e, which
+        lies in 0..5, and the cubic and quadratic exponents are 2e and 3e."""
+        for r in (5, 7, 11, 13):
+            for ideal in ideals_above(r):
+                if alpha.norm() % r == 0:
+                    continue
+                e = sextic_symbol(alpha, ideal)
+                assert e in range(6)
+                assert cubic_symbol(alpha, ideal) == 2 * e % 6
+                assert quadratic_symbol(alpha, ideal) == 3 * e % 6
+                n = ideal.residue_norm
+                x = ideal.reduce(alpha)
+                if ideal.kind == "split":
+                    val = pow(x, (n - 1) // 6, n)
+                else:
+                    val = _pair_pow(x, (n - 1) // 6, r)
+                assert ideal.reduce(UNITS[e]) == val, (alpha, ideal)
 
     @given(eis_nonzero, eis_nonzero)
     @settings(max_examples=60)
@@ -229,9 +231,9 @@ class TestSexticSymbol:
         ideal = PrimeIdealK.above(31)
         if x.norm() % 31 == 0 or y.norm() % 31 == 0:
             return
-        assert sextic_symbol(x * y, ideal) == sextic_symbol(x, ideal) * sextic_symbol(
-            y, ideal
-        )
+        assert sextic_symbol(x * y, ideal) == (
+            sextic_symbol(x, ideal) + sextic_symbol(y, ideal)
+        ) % 6
 
     @given(eis_nonzero, eis_nonzero)
     @settings(max_examples=60)
@@ -239,9 +241,9 @@ class TestSexticSymbol:
         ideal = PrimeIdealK.above(11)
         if x.norm() % 11 == 0 or y.norm() % 11 == 0:
             return
-        assert sextic_symbol(x * y, ideal) == sextic_symbol(x, ideal) * sextic_symbol(
-            y, ideal
-        )
+        assert sextic_symbol(x * y, ideal) == (
+            sextic_symbol(x, ideal) + sextic_symbol(y, ideal)
+        ) % 6
 
     @given(eis_nonzero)
     @settings(max_examples=60)
@@ -251,7 +253,7 @@ class TestSexticSymbol:
             if x.norm() % p == 0:
                 continue
             lhs = sextic_symbol(x.conjugate(), ideal.conjugate())
-            assert lhs == sextic_symbol(x, ideal).conjugate()
+            assert lhs == -sextic_symbol(x, ideal) % 6
 
     def test_undefined_above_2_and_3(self):
         # The residue fields there have 4 and 3 elements, and 6 divides
@@ -274,30 +276,28 @@ class TestCompositeSymbols:
     def test_prime_modulus_matches_ideal_product(self):
         alpha = EisensteinInt(2, 3)
         for k in (7, 13):
-            total = Unit6(0)
-            for ideal in ideals_above(k):
-                total = total * sextic_symbol(alpha, ideal)
-            assert symbol_composite(alpha, k) == total
+            total = sum(sextic_symbol(alpha, ideal) for ideal in ideals_above(k))
+            assert symbol_composite(alpha, k) == total % 6
 
     def test_multiplicative_in_the_modulus(self):
         alpha = EisensteinInt(3, 1)
-        assert symbol_composite(alpha, 35) == symbol_composite(
-            alpha, 5
-        ) * symbol_composite(alpha, 7)
+        assert symbol_composite(alpha, 35) == (
+            symbol_composite(alpha, 5) + symbol_composite(alpha, 7)
+        ) % 6
 
     def test_prime_power_modulus(self):
         alpha = EisensteinInt(3, 1)
-        assert symbol_composite(alpha, 25) == symbol_composite(alpha, 5) ** 2
+        assert symbol_composite(alpha, 25) == 2 * symbol_composite(alpha, 5) % 6
 
     def test_degree_projections(self):
         alpha = EisensteinInt(3, 1)
         s = symbol_composite(alpha, 35, 6)
-        assert symbol_composite(alpha, 35, 2) == s ** 3
-        assert symbol_composite(alpha, 35, 3) == s ** 2
+        assert symbol_composite(alpha, 35, 2) == 3 * s % 6
+        assert symbol_composite(alpha, 35, 3) == 2 * s % 6
         lam = EisensteinInt(6, 1)
         s = symbol_eisenstein(5, lam)
-        assert symbol_eisenstein(5, lam, degree=2) == s ** 3
-        assert symbol_eisenstein(5, lam, degree=3) == s ** 2
+        assert symbol_eisenstein(5, lam, degree=2) == 3 * s % 6
+        assert symbol_eisenstein(5, lam, degree=3) == 2 * s % 6
         for degree in (1, 4):
             with pytest.raises(ValueError):
                 symbol_composite(alpha, 35, degree)
@@ -367,10 +367,10 @@ class TestEisensteinFactorization:
 
     def test_symbol_over_eisenstein_modulus(self):
         lam = primary_split(7) * primary_split(13)
-        want = sextic_symbol(5, PrimeIdealK.above(7)) * sextic_symbol(
+        want = sextic_symbol(5, PrimeIdealK.above(7)) + sextic_symbol(
             5, PrimeIdealK.above(13)
         )
-        assert symbol_eisenstein(5, lam) == want
+        assert symbol_eisenstein(5, lam) == want % 6
 
     def test_rational_modulus_agrees_with_composite(self):
         alpha = EisensteinInt(3, 1)
@@ -390,8 +390,8 @@ class TestReciprocity:
             EisensteinInt(7, 3),
         ):
             zeta = mu3_companion(lam)
-            assert zeta.exp % 2 == 0  # a cube root of unity
-            prod = zeta.as_eisenstein() * lam
+            assert zeta in (0, 2, 4)  # a cube root of unity
+            prod = UNITS[zeta] * lam
             plus = prod - ONE
             minus = prod + ONE
             assert (plus.a % 3 == 0 and plus.b % 3 == 0) or (
@@ -420,6 +420,24 @@ class TestReciprocity:
             assert pair.holds, (k, lam)
             checked += 1
 
+    def test_exhaustive_grid_with_negative_k(self):
+        """Both laws at every k with |k| < 100 coprime to 6, negative k
+        included, and every lam = a + b w with |a|, |b| <= 6 coprime to 6k."""
+        checked = 0
+        for k in range(-99, 100):
+            if math.gcd(k, 6) != 1:
+                continue
+            for a in range(-6, 7):
+                for b in range(-6, 7):
+                    lam = EisensteinInt(a, b)
+                    n = lam.norm()
+                    if n == 0 or math.gcd(n, 6 * k) != 1:
+                        continue
+                    pair = reciprocity_pair(k, lam)
+                    assert pair.holds, (k, lam)
+                    checked += 1
+        assert checked == 4812
+
     def test_rejects_non_coprime(self):
         with pytest.raises(ValueError):
             reciprocity_pair(6, EisensteinInt(1, 1))
@@ -433,4 +451,3 @@ class TestStringForms:
         assert str(EisensteinInt(5, -3)) == "5-3*w"
         assert str(EisensteinInt(7, 0)) == "7"
         assert str(EisensteinInt(0, -2)) == "-2*w"
-        assert str(Unit6(4)) == "w^4"
