@@ -40,11 +40,11 @@ from math import isqrt
 from .arith import factorint, isprime, marked_primes, prime_flags
 from .arith import primes_in_range  # noqa: F401  (perfbench patches it)
 from .curves_mod_p import (
-    BACKENDS,
     MESTRE_BOUND,
     CurveQ,
     _count_tiny,
     _reduce,
+    check_backend,
     cm_j0_counts,
     count_points,
     count_points_cm_j0,
@@ -84,8 +84,7 @@ class _Counter:
     def __init__(
         self, E: CurveQ, backend: str = "auto", lo: int = 0, flags: bytes = b""
     ):
-        if backend not in BACKENDS:
-            raise ValueError(f"backend must be one of {BACKENDS}")
+        check_backend(E, backend)
         self.E = E
         self.backend = backend
         self.disc = E.discriminant()
@@ -343,8 +342,7 @@ def _cycle_census(
     _segment_grid(X, SEGMENT_SIZE)."""
     if any(L < 1 for L in lengths):
         raise ValueError("length must be >= 1")
-    if backend not in BACKENDS:  # also where X < 2 builds no counter
-        raise ValueError(f"backend must be one of {BACKENDS}")
+    check_backend(E, backend)  # also where X < 2 builds no counter
     found: dict[int, list[AliquotCycle]] = {L: [] for L in lengths}
     for lo, hi in _segment_grid(X, SEGMENT_SIZE):
         cycles = _sweep_segment((E, lo, hi, None, lengths, backend))["cycles"]

@@ -38,7 +38,7 @@ from .arith import factorint
 # from the window sieve; perfbench/spans.py patches both.
 from .arith import isprime, primes_in_range  # noqa: F401
 from .cm_density import predict
-from .curves_mod_p import BACKENDS, CurveQ
+from .curves_mod_p import CurveQ, check_backend
 
 FORMATS = ("csv", "json")
 
@@ -131,8 +131,7 @@ class ExperimentConfig:
             raise ValueError("x_bound must be >= 5")
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
-        if self.backend not in BACKENDS:
-            raise ValueError(f"backend must be one of {BACKENDS}")
+        check_backend(self.resolved_curve(), self.backend)
         if self.segment_size < 16:
             raise ValueError("segment_size must be >= 16")
         object.__setattr__(self, "lengths", tuple(self.lengths))

@@ -356,6 +356,16 @@ class TestBackendCheck:
         with pytest.raises(ValueError, match="backend"):
             _Counter(E2, "bogus")
 
+    @pytest.mark.parametrize("X", [1, 2, 100])
+    def test_cm_off_mordell_is_refused_for_every_X(self, X):
+        # before any count, so also where the census holds no prime
+        with pytest.raises(ValueError, match="y\\^2 = x\\^3 \\+ k only"):
+            aliquot_cycles_up_to(E2, 1, X, "cm")
+        with pytest.raises(ValueError, match="y\\^2 = x\\^3 \\+ k only"):
+            ExperimentConfig(curve=E2, x_bound=max(X, 5), backend="cm")
+        with pytest.raises(ValueError, match="y\\^2 = x\\^3 \\+ k only"):
+            _Counter(E2, "cm")
+
 
 class TestCensusSegments:
     @pytest.mark.parametrize(

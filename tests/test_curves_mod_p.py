@@ -154,6 +154,22 @@ class TestBsgs:
         for p in (1000003, 1000033):
             Ep = reduce_curve(MORDELL2, p)
             assert count_points_bsgs(Ep) == count_points_cm_j0(2, p)
+        for start in (10**8, 10**10):
+            for p in _primes_after(start, 10):
+                for k in (2, -7):
+                    Ep = reduce_curve(CurveQ.mordell(k), p)
+                    assert count_points_bsgs(Ep) == count_points_cm_j0(k, p), (k, p)
+        # Beyond BSGS's reach, the twists of y^2 = x^3 + k: by d^3 a
+        # quadratic twist, a_p(k d^3) = (d/p) a_p(k), and by d^6 an
+        # isomorphic curve.
+        for start in (10**12, 2**61 - 10**6):
+            for p in _primes_after(start, 40):
+                for k in (2, 5, 7, -7, 13):
+                    ap = p + 1 - count_points_cm_j0(k, p)
+                    for d in (-1, 2, 3, -5):
+                        chi = 1 if pow(d, (p - 1) // 2, p) == 1 else -1
+                        assert p + 1 - count_points_cm_j0(k * d**3, p) == chi * ap
+                        assert p + 1 - count_points_cm_j0(k * d**6, p) == ap
 
     def test_deterministic(self):
         Ep = reduce_curve(E2, 999983)
@@ -340,7 +356,7 @@ def _uneven_segments(top):
 
 
 class TestCmRange:
-    """cm_j0_counts against the one-prime-at-a-time routes."""
+    """cm_j0_counts against the one-prime route and naive counts."""
 
     @pytest.mark.parametrize("k", [1, 2, -3, 5, 7, 16])
     def test_matches_pointwise_counts_below_2e5(self, k):
@@ -355,9 +371,6 @@ class TestCmRange:
             if (6 * k) % p
         }
         assert got == want
-        for p, n in got.items():  # the symbol route, on EisensteinInt
-            if p % 3 == 1:
-                assert n == p + 1 - grossencharacter_j0(k, p).trace, p
 
     @pytest.mark.parametrize("k", [1, 2, -3, 5, 7, 16])
     def test_matches_naive_below_3000(self, k):
@@ -378,7 +391,8 @@ class TestCmRange:
 
 class TestCmReciprocity:
     """cm_j0_counts' tables and cofactor power for (4k/pi)_6 against
-    _count_at_primary's pow of 4k, at every split prime of its windows."""
+    _count_cm_j0, whose symbol of 4k is sextic_symbol's, at every split
+    prime of its windows."""
 
     @staticmethod
     def _check(k, lo, hi, cofactor=1):
@@ -389,10 +403,7 @@ class TestCmReciprocity:
         split = [p for p in counts if p % 3 == 1]
         assert split or hi - lo < 100
         for p in split:
-            pi = curves_mod_p.primary_split(p)
-            assert counts[p] == curves_mod_p._count_at_primary(
-                k, p, pi.a, pi.b
-            ), (k, p)
+            assert counts[p] == _count_cm_j0(k, p), (k, p)
 
     @pytest.mark.parametrize(
         "k",
@@ -453,7 +464,7 @@ class TestCmReciprocity:
 
 class TestParityWheel:
     """cm_j0_counts, which skips the lattice points of even norm, against
-    _count_cm_j0, the Cornacchia route, at every good prime of a window."""
+    _count_cm_j0, the one-prime route, at every good prime of a window."""
 
     @pytest.mark.parametrize("k", [7, -7, 91, 7 * 251, 7 * 65537])
     @pytest.mark.parametrize("lo", [2, 10**6, 10**8])
@@ -469,6 +480,13 @@ class TestParityWheel:
         assert sum(p % 3 == 1 for p in counts) > 1700
         for p, n in counts.items():
             assert n == _count_cm_j0(k, p), (k, p)
+
+
+def _primes_after(n, count):
+    primes = [int(nextprime(n))]
+    while len(primes) < count:
+        primes.append(int(nextprime(primes[-1])))
+    return primes
 
 
 def _naive_counts(E, lo, hi):

@@ -921,6 +921,32 @@ class TestCli:
         assert result.stdout == ""
         assert result.stderr == "# error: cycle lengths must be distinct\n"
 
+    @pytest.mark.parametrize("command", ["pairs", "chains"])
+    def test_cm_off_mordell_exits_1_before_the_checkpoint(self, command, tmp_path):
+        ck = tmp_path / "F.ckpt"
+        result = self.runner.invoke(
+            main,
+            [command, "--curve", "[0,1,1,0,0]", "--backend", "cm", "--X", "1000",
+             "--checkpoint", str(ck)],
+        )
+        assert result.exit_code == 1
+        assert result.stdout == ""
+        assert result.stderr == (
+            "# error: the cm backend applies to y^2 = x^3 + k only\n"
+        )
+        assert not ck.exists()
+
+    @pytest.mark.parametrize("X", ["1", "100"])
+    def test_cycles_cm_off_mordell_exits_1(self, X):
+        result = self.runner.invoke(
+            main, ["cycles", "--curve", "[0,1,1,0,0]", "--backend", "cm", "--X", X]
+        )
+        assert result.exit_code == 1
+        assert result.stdout == ""
+        assert result.stderr == (
+            "# error: the cm backend applies to y^2 = x^3 + k only\n"
+        )
+
     def test_density_table(self):
         result = self.invoke(
             "density", "--k", "5", "--X", "20000", "--format", "json"
