@@ -47,7 +47,7 @@ from .curves_mod_p import (
     check_backend,
     cm_j0_counts,
     count_points,
-    count_points_cm_j0,
+    count_points_cm_j0,  # noqa: F401  (perfbench patches it)
     count_points_naive,
     first_annihilator,
     grossencharacter_j0,
@@ -72,31 +72,28 @@ class _Counter:
 
     It is called only with primes (from a sieve, or prime images), so it
     reduces and counts without testing them again.  It checks the
-    backend once, and holds disc, the discriminant of E, and optionally
+    backend once, as check_backend's route for E, which every count and
+    search takes, and holds disc, the discriminant of E, and optionally
     a sieved window: flags[n - lo] marks the primes n of [lo, lo +
     len(flags)), which decide the primality of the images that fall in
     it.  memo[p] is #E(F_p), or 0 where image(p) has only shown that
-    count composite.  Where count_points takes the CM formula, the memo
-    starts with the count at every good prime of the window; images
-    takes a segment's first step in one pass over it.
+    count composite.  On the cm route, the memo starts with the count
+    at every good prime of the window; images takes a segment's first
+    step in one pass over it.
     """
 
     def __init__(
         self, E: CurveQ, backend: str = "auto", lo: int = 0, flags: bytes = b""
     ):
-        check_backend(E, backend)
         self.E = E
-        self.backend = backend
+        self.route = check_backend(E, backend)
         self.disc = E.discriminant()
         self.A, self.B = E.short_model()
-        cm = backend in ("cm", "auto") and E.is_mordell()
+        cm = self.route == "cm"
         self.memo: dict[int, int] = cm_j0_counts(E.a6, lo, flags) if cm and flags else {}
         self.lo = lo
         self.hi = lo + len(flags)
         self.flags = flags
-        # Whether image searches above MESTRE_BOUND, where count_points
-        # would take BSGS, instead of counting.
-        self.first_match = backend == "bsgs" or (backend == "auto" and not cm)
 
     @classmethod
     def segment(cls, E: CurveQ, backend: str, lo: int, hi: int):
@@ -114,7 +111,7 @@ class _Counter:
     def __call__(self, p: int) -> int:
         v = self.memo.get(p)
         if not v:
-            v = count_points(_reduce(self.E, p), self.backend)
+            v = count_points(_reduce(self.E, p), self.route)
             self.memo[p] = v
         return v
 
@@ -139,7 +136,7 @@ class _Counter:
             A, B = self.A % p, self.B % p
             if p >= 7 and two_division_roots(p, A, B):
                 return 0
-            if self.first_match and p > MESTRE_BOUND:
+            if self.route == "bsgs" and p > MESTRE_BOUND:
                 N = self.annihilator(p, A, B)
                 q = self.memo[p] = N if self._prime(N) else 0
                 return q
@@ -286,11 +283,10 @@ def _sweep_segment(task: tuple) -> dict:
     so a walk that starts downwards is taken only when a chain longer
     than 1 is asked for, and then only as deep as the longest chain.
     Each closed walk that is kept is re-verified once by _verified.  On
-    y^2 = x^3 + k under the cm or auto backend, the counter's memo
-    starts with the count at every good prime of the window, so only
-    steps beyond it count one prime at a time.  A prime p of N_k is
-    type 1 iff a_q = q + 1 - #E(F_q) is +-(q + 1 - p): classify_type1's
-    trace route alone.
+    the cm route, the counter's memo starts with the count at every good
+    prime of the window, so only steps beyond it count one prime at a
+    time.  A prime p of N_k is type 1 iff a_q = q + 1 - #E(F_q) is
+    +-(q + 1 - p): classify_type1's trace test alone.
     """
     E, lo, hi, k, lengths, backend = task
     counter, primes = _Counter.segment(E, backend, lo, hi)
@@ -421,19 +417,21 @@ class TypeOneVerdict:
 def classify_type1(k: int, p: int) -> TypeOneVerdict:
     """Classify p (in N_k for y^2 = x^3 + k) via two independent routes.
 
-    The trace route computes a_q directly from the CM count at q; the
-    symbol route evaluates (k/p)(k/q).  The two must agree, and beyond
-    the boolean the exact identity
-        a_q = Tr( [(k/p)(k/q)]^{-1} (1 - psi(p)) )
-    is asserted.
+    The trace route counts q = #E(F_p) and a_q = q + 1 - #E(F_q) by BSGS,
+    which takes no residue symbol; the symbol route takes psi(p) from
+    grossencharacter_j0 and (k/p)(k/q) from sextic_symbol.  The two must
+    agree on q = N(1 - psi(p)) and, beyond the boolean, on
+        a_q = Tr( [(k/p)(k/q)]^{-1} (1 - psi(p)) ).
     """
     psi = grossencharacter_j0(k, p)  # validates p split, p >= 5, p good
-    q = p + 1 - psi.trace
+    q = count_points(_reduce(CurveQ.mordell(k), p), "bsgs")
     if not isprime(q) or (6 * k) % q == 0:
         raise ValueError(f"{p} is not in N_k: #E(F_p) = {q} must be a good prime")
-    a_q = q + 1 - count_points_cm_j0(k, q)
+    a_q = q + 1 - count_points(_reduce(CurveQ.mordell(k), q), "bsgs")
 
     one_minus = EisensteinInt(1, 0) - psi
+    if one_minus.norm() != q:
+        raise ArithmeticError(f"symbol and trace routes disagree at p={p}: q = {q}")
     q_gen, _ = primary_associate(one_minus)
     p_ideal = PrimeIdealK(primary_split(p))
     q_ideal = PrimeIdealK(q_gen)
@@ -497,10 +495,10 @@ def bad_trace(E: CurveQ, p: int) -> int:
     return p + 1 - _count_tiny(_reduce(E, p))
 
 
-def _a_prime_power(E: CurveQ, p: int, e: int, backend: str) -> int:
+def _a_prime_power(E: CurveQ, p: int, e: int, route: str) -> int:
     if not E.has_good_reduction(p):
         return bad_trace(E, p) ** e
-    ap = p + 1 - count_points(_reduce(E, p), backend)
+    ap = p + 1 - count_points(_reduce(E, p), route)
     prev, cur = 1, ap
     for _ in range(e - 1):
         prev, cur = cur, ap * cur - p * prev
@@ -511,9 +509,10 @@ def l_series_coefficient(E: CurveQ, n: int, backend: str = "auto") -> int:
     """The n-th Dirichlet coefficient a_n of L(E, s)."""
     if n < 1:
         raise ValueError("n must be >= 1")
+    route = check_backend(E, backend)
     result = 1
     for p, e in factorint(n).items():
-        result *= _a_prime_power(E, p, e, backend)
+        result *= _a_prime_power(E, p, e, route)
     return result
 
 
@@ -526,10 +525,11 @@ def type_n_step(E: CurveQ, n: int, backend: str = "auto") -> int:
     """The map n -> #E^0(Z/nZ), the subgroup of smooth points."""
     if n < 1:
         raise ValueError("n must be >= 1")
+    route = check_backend(E, backend)
     result = 1
     for p, e in factorint(n).items():
         if E.has_good_reduction(p):
-            cp = count_points(_reduce(E, p), backend)
+            cp = count_points(_reduce(E, p), route)
         else:
             cp = p - bad_trace(E, p)
         result *= p ** (e - 1) * cp

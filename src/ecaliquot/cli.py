@@ -97,6 +97,15 @@ def _curve_options(fn):
     return fn
 
 
+_backend_option = click.option(
+    "--backend",
+    type=click.Choice(BACKENDS),
+    default="auto",
+    show_default=True,
+    help="Point counting backend.",
+)
+
+
 def _sweep_options(fn):
     fn = click.option(
         "--X",
@@ -114,13 +123,7 @@ def _sweep_options(fn):
         help="Worker processes, at most one per segment "
         "(results are identical for any count).",
     )(fn)
-    fn = click.option(
-        "--backend",
-        type=click.Choice(BACKENDS),
-        default="auto",
-        show_default=True,
-        help="Point counting backend.",
-    )(fn)
+    fn = _backend_option(fn)
     fn = click.option(
         "--checkpoint",
         default=None,
@@ -204,12 +207,7 @@ def pairs(curve, k, x_bound, workers, backend, checkpoint, out_format):
     show_default=True,
     help="Comma-separated cycle lengths to search.",
 )
-@click.option(
-    "--backend",
-    type=click.Choice(BACKENDS),
-    default="auto",
-    show_default=True,
-)
+@_backend_option
 @_format_option
 def cycles(curve, k, x_bound, lengths, backend, out_format):
     """List aliquot cycles of the given lengths, smallest prime <= X.
@@ -317,6 +315,8 @@ def density(ks, x_bound, workers, backend, checkpoint, out_format):
     """Observed vs predicted type 1 density for y^2 = x^3 + k."""
     if checkpoint is not None and len(ks) > 1:
         raise click.UsageError("--checkpoint takes a single --k")
+    # The same route as auto, but the checkpoint fingerprint records the
+    # name, so rewriting it elsewhere would refuse existing checkpoints.
     if backend == "auto":
         backend = "cm"
     rows = []

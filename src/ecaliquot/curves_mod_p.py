@@ -31,12 +31,12 @@ large for them.  A census takes it for each segment of y^2 = x^3 + k
 under ``cm`` and ``auto``, and the one-prime route only beyond the
 window.
 
-The ``auto`` choice has two rules.  :func:`count_points` sees only the
-reduction, so it takes the CM formula wherever that is y^2 = x^3 + k
-mod p (y^2 = x^3 + 7x + 2 at p = 7 too), else BSGS (naive up to
-p = 229 inside it).  A census decides by the curve over Q:
-``aliquot._Counter`` walks the CM primaries of a segment only on
-y^2 = x^3 + k, and on any other curve searches by BSGS above p = 229.
+:func:`check_backend` alone turns a backend name into a route: ``auto``
+is the CM formula on y^2 = x^3 + k, else BSGS (naive up to p = 229).
+A census, ``aliquot``'s type maps and :func:`torsion_obstruction` ask
+it once about the curve over Q, and :func:`count_points` about its
+reduction, where a route names itself again; only a bare ``CurveFp``
+caller's ``auto`` is decided mod p (CM on y^2 = x^3 + 7x + 2 at p = 7).
 
 A search that needs #E(F_p) only when it is prime asks no backend:
 :func:`first_annihilator` runs the same baby and giant steps on one
@@ -174,6 +174,7 @@ class CurveFp:
     a4: int
     a6: int
     good: bool
+    is_mordell = CurveQ.is_mordell  # y^2 = x^3 + k mod p
 
     @classmethod
     def short(cls, p: int, a: int, b: int) -> "CurveFp":
@@ -742,31 +743,28 @@ def cm_j0_counts(k: int, lo: int, flags: bytearray) -> dict[int, int]:
 BACKENDS = ("auto", "naive", "bsgs", "cm")
 
 
-def check_backend(E: CurveQ, backend: str) -> None:
-    """Refuse a backend outside BACKENDS, and cm off y^2 = x^3 + k."""
+def check_backend(E: CurveQ | CurveFp, backend: str) -> str:
+    """The route, naive, bsgs or cm, that backend names on E: auto is cm
+    on y^2 = x^3 + k, else bsgs.  Other names, and cm elsewhere, are refused."""
     if backend not in BACKENDS:
         raise ValueError(f"backend must be one of {BACKENDS}")
-    if backend == "cm" and not E.is_mordell():
+    if backend in ("naive", "bsgs"):
+        return backend
+    if E.is_mordell():
+        return "cm"
+    if backend == "cm":
         raise ValueError("the cm backend applies to y^2 = x^3 + k only")
+    return "bsgs"
 
 
 def count_points(E: CurveFp, backend: str = "auto") -> int:
-    """Count #E(F_p) with the selected backend, one of BACKENDS.
-
-    "auto" picks by the curve: the CM formula when the reduction is
-    y^2 = x^3 + k (every good prime is >= 5 there), else BSGS, which
-    counts naively up to MESTRE_BOUND.  E.p is taken to be prime, as
-    reduce_curve checks, and good reduction is checked by each backend.
-    """
-    if backend not in BACKENDS:
-        raise ValueError(f"unknown backend {backend!r}")
-    if backend == "naive":
-        return count_points_naive(E)
-    if backend != "bsgs" and (E.a1, E.a2, E.a3, E.a4) == (0, 0, 0, 0):
+    """Count #E(F_p) by the route check_backend gives on E, with BSGS
+    naive up to MESTRE_BOUND.  E.p is taken to be prime, as reduce_curve
+    checks, and good reduction is checked by each backend."""
+    route = check_backend(E, backend)
+    if route == "cm":
         return _count_cm_j0(E.a6, E.p)
-    if backend == "cm":
-        raise ValueError("the cm backend applies to y^2 = x^3 + k only")
-    return count_points_bsgs(E)
+    return count_points_naive(E) if route == "naive" else count_points_bsgs(E)
 
 
 def torsion_obstruction(E: CurveQ, primes_to_check: int = 20) -> bool:
@@ -777,11 +775,12 @@ def torsion_obstruction(E: CurveQ, primes_to_check: int = 20) -> bool:
     finitely many p, so curves with this obstruction are hopeless for
     amicable-pair searches.
     """
+    route = check_backend(E, "auto")
     g = 0
     p, seen = 5, 0
     while seen < primes_to_check:
         if E.has_good_reduction(p):
-            g = gcd(g, count_points(reduce_curve(E, p)))
+            g = gcd(g, count_points(reduce_curve(E, p), route))
             seen += 1
             if g == 1:
                 return False

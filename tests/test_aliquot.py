@@ -7,7 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from sympy import factorint, isprime
 
-from ecaliquot import aliquot
+from ecaliquot import aliquot, curves_mod_p, eisenstein
 from ecaliquot.aliquot import (
     AliquotCycle,
     _Counter,
@@ -28,8 +28,10 @@ from ecaliquot.aliquot import (
 )
 from ecaliquot.arith import prime_flags, primes_in_range
 from ecaliquot.curves_mod_p import (
+    BACKENDS,
     MESTRE_BOUND,
     CurveQ,
+    check_backend,
     count_points,
     count_points_naive,
     reduce_curve,
@@ -367,6 +369,87 @@ class TestBackendCheck:
             _Counter(E2, "cm")
 
 
+# check_backend's route for each name, or the refusal it raises.
+ROUTES = {
+    (MORDELL2, "auto"): "cm",
+    (MORDELL2, "naive"): "naive",
+    (MORDELL2, "bsgs"): "bsgs",
+    (MORDELL2, "cm"): "cm",
+    (MORDELL2, "bogus"): "backend must be one of",
+    (E2, "auto"): "bsgs",
+    (E2, "naive"): "naive",
+    (E2, "bsgs"): "bsgs",
+    (E2, "cm"): "the cm backend applies to y^2 = x^3 + k only",
+    (E2, "bogus"): "backend must be one of",
+}
+
+
+def _spy_on_count_points(monkeypatch) -> list:
+    """The backend name of every count_points call from aliquot."""
+    seen = []
+
+    def spy(Ep, name="auto"):
+        seen.append(name)
+        return count_points(Ep, name)
+
+    monkeypatch.setattr(aliquot, "count_points", spy)
+    return seen
+
+
+class TestRouting:
+    """check_backend alone turns a backend name into a route."""
+
+    def test_route_table(self):
+        assert set(ROUTES) == {
+            (E, name) for E in (MORDELL2, E2) for name in (*BACKENDS, "bogus")
+        }
+        for (E, name), want in ROUTES.items():
+            if want in BACKENDS:
+                assert check_backend(E, name) == want, (E, name)
+                # a route names itself again on the curve and its reductions
+                assert check_backend(E, want) == want
+                assert check_backend(reduce_curve(E, 7), want) == want
+            else:
+                with pytest.raises(ValueError) as exc:
+                    check_backend(E, name)
+                assert str(exc.value).startswith(want), (E, name)
+
+    def test_count_points_refuses_with_check_backends_message(self):
+        with pytest.raises(ValueError) as want:
+            check_backend(E2, "bogus")
+        with pytest.raises(ValueError) as got:
+            count_points(reduce_curve(E2, 101), "bogus")
+        assert str(got.value) == str(want.value)
+
+    @pytest.mark.parametrize("backend", ["auto", "bsgs"])
+    def test_census_counts_never_receive_auto(self, monkeypatch, backend):
+        seen = _spy_on_count_points(monkeypatch)
+        cfg = ExperimentConfig(
+            curve=E2, x_bound=10**4, lengths=(2, 3), backend=backend
+        )
+        assert run_pair_sweep(cfg).pairs == ((853, 883),)
+        assert set(seen) == {"bsgs"}
+
+    def test_type_maps_check_the_backend_before_counting(self):
+        for call in (
+            lambda: l_series_coefficient(E2, 1, "bogus"),
+            lambda: type_l_step(E2, 1, "bogus"),
+            lambda: type_n_step(E2, 1, "cm"),
+            lambda: l_series_coefficient(E2, 1, "cm"),
+        ):
+            with pytest.raises(ValueError, match="backend"):
+                call()
+
+    def test_type_maps_take_the_route_of_the_curve(self, monkeypatch):
+        seen = _spy_on_count_points(monkeypatch)
+        for n in (2 * 3 * 5 * 7 * 11, 1001, 10007):
+            assert type_n_step(MORDELL2, n) == type_n_step(MORDELL2, n, "bsgs")
+            assert l_series_coefficient(E2, n) == l_series_coefficient(
+                E2, n, "naive"
+            )
+        assert "auto" not in seen and {"cm", "bsgs", "naive"} <= set(seen)
+
+
 class TestCensusSegments:
     @pytest.mark.parametrize(
         "E, backend, beyond",
@@ -571,6 +654,29 @@ class TestClassifyType1:
             if p % 3 == 1 and _in_nk(3, p) and not classify_type1(3, p).is_type1
         ]
         assert 7 in seen_type2
+
+    def test_a_wrong_split_symbol_is_caught(self, monkeypatch):
+        # The trace route counts by BSGS, so a sextic symbol that lies at
+        # every split prime cannot reach both sides of its check.
+        members = [
+            p
+            for p in primes_in_range(7, 10**4)
+            if p % 3 == 1 and _in_nk(7, p)
+        ]
+        real = eisenstein.sextic_symbol
+
+        def lying(alpha, m):
+            e = real(alpha, m)
+            return (e + 1) % 6 if m.kind == "split" else e
+
+        for module in (eisenstein, curves_mod_p, aliquot):
+            monkeypatch.setattr(module, "sextic_symbol", lying)
+        with pytest.raises(ArithmeticError, match="disagree"):
+            for p in members:
+                try:
+                    classify_type1(7, p)
+                except ValueError:
+                    pass  # a lying route may also put p outside N_k
 
     def test_rejects_non_members(self):
         with pytest.raises(ValueError):
