@@ -7,9 +7,9 @@ possible values of #E(F_q) given #E(F_p) = q collapse to two, and for
 j = 0 the sextic residue symbol decides between them; the helpers at
 the bottom of the module implement those dichotomies exactly.
 
-The module owns the one segment kernel, _sweep_segment: a sweep's
-workers run it on the cells of their grid, and the cycle search folds
-it over the default grid.  For each segment [lo, hi) of its primes,
+The module owns the one segment kernel, _sweep_segment, which
+harness.run_pair_sweep runs on the cells of its grid for every census,
+the cycle search included.  For each segment [lo, hi) of its primes,
 _Counter.segment sieves the window that holds every image of the
 segment once, and builds the counter on it.  Each prime of the segment
 takes at most one walk, which gives its chains, its pair and its
@@ -63,9 +63,6 @@ from .eisenstein import (
     primary_split,
     sextic_symbol,
 )
-
-SEGMENT_SIZE = 1 << 16  # the width of a census segment, a sweep's default
-
 
 class _Counter:
     """Memoized point counter for one curve and backend.
@@ -256,24 +253,15 @@ def _walk(count: _Counter, p: int, length: int) -> tuple[list[int], int | None]:
     return walk, None
 
 
-def _segment_grid(x_bound: int, segment_size: int) -> list[tuple[int, int]]:
-    """The fixed [lo, hi) grid covering [2, x_bound]."""
-    return [
-        (lo, min(lo + segment_size, x_bound + 1))
-        for lo in range(2, x_bound + 1, segment_size)
-    ]
-
-
 def _sweep_segment(task: tuple) -> dict:
     """Tally one prime segment [lo, hi) of E; returns a JSON-ready record.
 
-    task is (E, lo, hi, k, lengths, backend), with k the k of
-    y^2 = x^3 + k or None.  _Counter.segment gives the segment's good
-    primes and a counter on the sieved window that holds all their
-    images, so counter.image tests a prime image by lookup; only steps
-    whose image lies beyond the window reach isprime.  The first steps
-    are one counter.images call, and each p with a prime image q takes
-    at most one _walk, which yields every tally:
+    task is (E, lo, hi, lengths, backend).  _Counter.segment gives the
+    segment's good primes and a counter on the sieved window that holds
+    all their images, so counter.image tests a prime image by lookup;
+    only steps whose image lies beyond the window reach isprime.  The
+    first steps are one counter.images call, and each p with a prime
+    image q takes at most one _walk, which yields every tally:
     - chains[L] counts the walks that reach L primes (every good prime
       is a chain of length 1);
     - a walk that closes is counted once, from its least prime p, so
@@ -285,11 +273,13 @@ def _sweep_segment(task: tuple) -> dict:
     Each closed walk that is kept is re-verified once by _verified.  On
     the cm route, the counter's memo starts with the count at every good
     prime of the window, so only steps beyond it count one prime at a
-    time.  A prime p of N_k is type 1 iff a_q = q + 1 - #E(F_q) is
-    +-(q + 1 - p): classify_type1's trace test alone.
+    time.  On y^2 = x^3 + k, n_k and n_type1 tally N_k and its type 1
+    primes: p of N_k is type 1 iff a_q = q + 1 - #E(F_q) is
+    +-(q + 1 - p), classify_type1's trace test alone.
     """
-    E, lo, hi, k, lengths, backend = task
+    E, lo, hi, lengths, backend = task
     counter, primes = _Counter.segment(E, backend, lo, hi)
+    mordell = E.is_mordell()
     up, down = max((2, *lengths)) + 1, max((1, *lengths))
     chains = {str(L): len(primes) if L == 1 else 0 for L in lengths}
     cycles = {str(L): [] for L in lengths}
@@ -323,28 +313,11 @@ def _sweep_segment(task: tuple) -> dict:
                     if kept is not None:
                         kept.append(cycle)
         # q | disc = -432 k^2 on y^2 = x^3 + k exactly when q | 6k
-        if k is not None and p >= 5 and counter.disc % q:
+        if mordell and p >= 5 and counter.disc % q:
             record["n_k"] += 1
             if q + 1 - counter(q) in (q + 1 - p, p - q - 1):
                 record["n_type1"] += 1
     return record
-
-
-def _cycle_census(
-    E: CurveQ, lengths: tuple[int, ...], X: int, backend: str
-) -> dict[int, list[AliquotCycle]]:
-    """The aliquot cycles of each length in lengths whose least prime is
-    <= X, from one serial fold of _sweep_segment over
-    _segment_grid(X, SEGMENT_SIZE)."""
-    if any(L < 1 for L in lengths):
-        raise ValueError("length must be >= 1")
-    check_backend(E, backend)  # also where X < 2 builds no counter
-    found: dict[int, list[AliquotCycle]] = {L: [] for L in lengths}
-    for lo, hi in _segment_grid(X, SEGMENT_SIZE):
-        cycles = _sweep_segment((E, lo, hi, None, lengths, backend))["cycles"]
-        for L in lengths:
-            found[L] += (AliquotCycle(tuple(c)) for c in cycles[str(L)])
-    return found
 
 
 def aliquot_cycles_up_to(
@@ -355,7 +328,9 @@ def aliquot_cycles_up_to(
     Every returned cycle has been re-verified by verify_cycle, which
     shares no code with the counting backends.
     """
-    return _cycle_census(E, (length,), X, backend)[length]
+    from .harness import cycles_up_to  # harness imports this module
+
+    return cycles_up_to(E, (length,), X, backend)[length]
 
 
 # ---------------------------------------------------------------------------

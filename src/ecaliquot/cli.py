@@ -18,8 +18,8 @@ import sys
 
 import click
 
-from .aliquot import _cycle_census, iterate_type_map, verify_cycle
-# Unused since cycles makes one census pass for all of its lengths;
+from .aliquot import iterate_type_map, verify_cycle
+# Unused since cycles makes one sweep for all of its lengths;
 # perfbench/spans.py patches it.
 from .aliquot import aliquot_cycles_up_to  # noqa: F401
 from .arith import primes_in_range
@@ -47,6 +47,7 @@ from .eisenstein import ideals_above
 from .harness import (
     FORMATS,
     ExperimentConfig,
+    cycles_up_to,
     density_rows,
     growth_rows,
     pair_rows,
@@ -221,7 +222,7 @@ def cycles(curve, k, x_bound, lengths, backend, out_format):
     wanted = _parse_ints(lengths, "--lengths")
     if len(set(wanted)) != len(wanted):
         raise ValueError("cycle lengths must be distinct")
-    found = _cycle_census(E, wanted, x_bound, backend)
+    found = cycles_up_to(E, wanted, x_bound, backend)
     rows = [
         {"length": length, "primes": " ".join(str(p) for p in cycle.primes)}
         for length in wanted

@@ -5,11 +5,12 @@ and tallies the quantities the rest of the library reasons about: the
 primes with prime image, the amicable pairs, the refined (type 1)
 primes of a Mordell curve, and the chain counts and aliquot cycles for
 requested lengths.  Each segment is tallied by aliquot's one segment
-kernel, _sweep_segment; this module only schedules the segments,
-checkpoints their records and merges them.  The prime range is cut
-into a fixed grid of segments so that results are byte-for-byte
-identical no matter how many worker processes share the grid, and each
-finished segment can be checkpointed to disk and skipped on resume.
+kernel, _sweep_segment; run_pair_sweep, the one driver of every census
+(the cycle search included), schedules the segments, checkpoints their
+records and merges them.  The prime range is cut into a fixed grid of
+segments so that results are byte-for-byte identical no matter how
+many worker processes share the grid, and each finished segment can be
+checkpointed to disk and skipped on resume.
 
 Reports hold raw counts only; every ratio is derived on demand so that
 printed tables always agree with the integers behind them.
@@ -26,7 +27,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
 
-from .aliquot import SEGMENT_SIZE, _segment_grid, _sweep_segment
+from .aliquot import AliquotCycle, _sweep_segment
 # Unused since the segment kernel lives in aliquot; perfbench/spans.py
 # patches it.
 from .aliquot import _Counter  # noqa: F401
@@ -41,6 +42,7 @@ from .cm_density import predict
 from .curves_mod_p import CurveQ, check_backend
 
 FORMATS = ("csv", "json")
+SEGMENT_SIZE = 1 << 16  # the width of a census segment, a sweep's default
 
 # The 55 amicable pairs (p, q) with p <= 10^11 on y^2 + y = x^3 + x^2,
 # frozen here as the reference list for prefix checks.
@@ -207,6 +209,14 @@ class SweepReport:
         raise KeyError(f"no chain count for length {length}")
 
 
+def _segment_grid(x_bound: int, segment_size: int) -> list[tuple[int, int]]:
+    """The fixed [lo, hi) grid covering [2, x_bound]."""
+    return [
+        (lo, min(lo + segment_size, x_bound + 1))
+        for lo in range(2, x_bound + 1, segment_size)
+    ]
+
+
 # ---------------------------------------------------------------------------
 # checkpointing
 
@@ -360,9 +370,7 @@ def run_pair_sweep(cfg: ExperimentConfig) -> SweepReport:
         writer = _CheckpointWriter(path, _config_fingerprint(cfg))
 
     tasks = [
-        (E, lo, hi, k, cfg.lengths, cfg.backend)
-        for lo, hi in grid
-        if lo not in done
+        (E, lo, hi, cfg.lengths, cfg.backend) for lo, hi in grid if lo not in done
     ]
     def note(record: dict) -> None:
         done[record["lo"]] = record
@@ -411,6 +419,18 @@ def run_pair_sweep(cfg: ExperimentConfig) -> SweepReport:
         cycles=tuple((L, tuple(cycles[L])) for L in cfg.lengths),
         elapsed=time.monotonic() - start,
     )
+
+
+def cycles_up_to(
+    E: CurveQ, lengths: tuple[int, ...], X: int, backend: str = "auto"
+) -> dict[int, list[AliquotCycle]]:
+    """The aliquot cycles of each length in lengths whose least prime is
+    <= X, from one sweep to max(X, 5), the least bound of a config."""
+    cfg = ExperimentConfig(curve=E, x_bound=max(X, 5), lengths=lengths, backend=backend)
+    return {
+        L: [AliquotCycle(c) for c in cycles if c[0] <= X]
+        for L, cycles in run_pair_sweep(cfg).cycles
+    }
 
 
 @dataclass(frozen=True)

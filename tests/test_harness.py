@@ -271,7 +271,7 @@ class TestCmSweep:
                     q = count_points(reduce_curve(E, p), "cm")
                     extreme = abs(q - p - 1) == 2 * m + 1
                     if extreme and isprime(q) and E.has_good_reduction(q):
-                        task = (E, p, p + 1, k, (1, 2), "cm")
+                        task = (E, p, p + 1, (1, 2), "cm")
                         segments.append((task, harness._sweep_segment(task)))
                         above.add(q > p)
         assert above == {True, False} and len(segments) > 100
@@ -920,6 +920,55 @@ class TestCli:
         assert result.exit_code == 1
         assert result.stdout == ""
         assert result.stderr == "# error: cycle lengths must be distinct\n"
+
+    @pytest.mark.parametrize(
+        "X, stdout",
+        [
+            (5, b"length,primes\r\n1,3\r\n2,5 7\r\n"),
+            (4, b"length,primes\r\n1,3\r\n"),
+            (3, b"length,primes\r\n1,3\r\n"),
+            (2, b""),
+            (1, b""),
+            (0, b""),
+            (-5, b""),
+        ],
+    )
+    def test_cycles_below_the_least_sweep_bound(self, X, stdout):
+        # The search sweeps to max(X, 5) and keeps the cycles whose least
+        # prime is <= X: at X = 4 that sweep also meets the 2-cycle (5, 7).
+        E = CurveQ(0, 1, 0, -1, -2)
+        result = self.invoke(
+            "cycles", "--curve", "[0,1,0,-1,-2]", "--lengths", "1,2", f"--X={X}"
+        )
+        want = {1: [(3,)] if X >= 3 else [], 2: [(5, 7)] if X >= 5 else []}
+        assert result.exit_code == 0
+        assert result.stdout_bytes == stdout
+        assert result.stderr == f"# {E}: {len(want[1]) + len(want[2])} cycle(s)\n"
+        for L in (1, 2):
+            assert [c.primes for c in aliquot_cycles_up_to(E, L, X)] == want[L]
+        # #E(F_2) = 3 and #E(F_3) = 2 on this curve: (2, 3) from X = 2 on.
+        E23 = CurveQ(0, -1, 1, -1, -1)
+        want23 = [(2, 3)] if X >= 2 else []
+        assert [c.primes for c in aliquot_cycles_up_to(E23, 2, X)] == want23
+
+    def test_cycle_search_is_one_sweep(self, monkeypatch):
+        configs, sweep = [], harness.run_pair_sweep
+
+        def spy(cfg):
+            configs.append(cfg)
+            return sweep(cfg)
+
+        monkeypatch.setattr(harness, "run_pair_sweep", spy)
+        E = CurveQ.short(-25, -8)
+        assert [c.primes for c in aliquot_cycles_up_to(E, 3, 2000)] == [(73, 83, 79)]
+        result = self.invoke(
+            "cycles", "--curve", "[0,0,0,-25,-8]", "--lengths", "3,2,1", "--X", "2000"
+        )
+        assert result.exit_code == 0 and "3,73 83 79" in result.stdout
+        assert [(cfg.lengths, cfg.workers, cfg.checkpoint) for cfg in configs] == [
+            ((3,), 1, None),
+            ((3, 2, 1), 1, None),
+        ]
 
     @pytest.mark.parametrize("command", ["pairs", "chains"])
     def test_cm_off_mordell_exits_1_before_the_checkpoint(self, command, tmp_path):
